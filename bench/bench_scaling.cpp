@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -293,15 +292,12 @@ BENCHMARK(BM_MultiProc_Global)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // -- Visited-set insert throughput (docs/concurrency.md) ---------------------
 
-/// Distinct-digest insert throughput of the mutexed ShardedVisitedSet vs
-/// the lock-free CasVisitedSet, at 1/2/4 inserting threads over a shared
-/// 16-shard set. Each iteration builds a fresh set and streams 100k
-/// precomputed digests through it (disjoint strides per thread), so the
-/// timed region is the admission path: shard selection, probe, claim,
-/// growth. items_per_second is the comparable figure; BENCH_search.json
-/// tracks both rows and the single-thread CAS row must stay within the
-/// mutex row's envelope (the engine defaults to the CAS set at every
-/// thread count, including 1).
+/// Distinct-digest insert throughput of the lock-free CasVisitedSet at
+/// 1/2/4 inserting threads over a shared 16-shard set. Each iteration
+/// builds a fresh set and streams 100k precomputed digests through it
+/// (disjoint strides per thread), so the timed region is the admission
+/// path: shard selection, probe, claim, growth. items_per_second is the
+/// comparable figure.
 constexpr std::uint64_t kVisitedBenchDigests = 100'000;
 
 [[nodiscard]] const std::vector<tpn::StateDigest>& visited_bench_keys() {
@@ -316,51 +312,29 @@ constexpr std::uint64_t kVisitedBenchDigests = 100'000;
   return keys;
 }
 
-template <typename MakeSet, typename Insert>
-void visited_insert_throughput(benchmark::State& state, MakeSet make_set,
-                               Insert insert) {
+void BM_VisitedSet_CAS(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   const std::vector<tpn::StateDigest>& keys = visited_bench_keys();
   for (auto _ : state) {
-    auto set = make_set(threads);
+    sched::CasVisitedSet set(16, threads);
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (std::uint32_t w = 0; w < threads; ++w) {
       pool.emplace_back([&, w] {
         for (std::uint64_t i = w; i < kVisitedBenchDigests; i += threads) {
-          benchmark::DoNotOptimize(insert(*set, keys[i], w));
+          benchmark::DoNotOptimize(set.insert(keys[i], w));
         }
       });
     }
     for (std::thread& t : pool) {
       t.join();
     }
-    if (set->size() != kVisitedBenchDigests) {
+    if (set.size() != kVisitedBenchDigests) {
       state.SkipWithError("lost inserts");
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kVisitedBenchDigests));
-}
-
-void BM_VisitedSet_Mutex(benchmark::State& state) {
-  visited_insert_throughput(
-      state,
-      [](std::uint32_t) { return std::make_unique<sched::ShardedVisitedSet>(16); },
-      [](sched::ShardedVisitedSet& set, const tpn::StateDigest& d,
-         std::uint32_t) { return set.insert(d); });
-}
-BENCHMARK(BM_VisitedSet_Mutex)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_VisitedSet_CAS(benchmark::State& state) {
-  visited_insert_throughput(
-      state,
-      [](std::uint32_t threads) {
-        return std::make_unique<sched::CasVisitedSet>(16, threads);
-      },
-      [](sched::CasVisitedSet& set, const tpn::StateDigest& d,
-         std::uint32_t tid) { return set.insert(d, tid); });
 }
 BENCHMARK(BM_VisitedSet_CAS)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);

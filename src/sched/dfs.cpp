@@ -1,40 +1,197 @@
 #include "sched/dfs.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
+#include <limits>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "base/assert.hpp"
 #include "base/hash.hpp"
-#include "obs/progress.hpp"
-#include "sched/expansion.hpp"
 #include "sched/fingerprint.hpp"
-#include "sched/guards.hpp"
 #include "sched/guided.hpp"
 #include "sched/parallel.hpp"
-#include "tpn/state_class.hpp"
+#include "sched/search_kernel.hpp"
 
 namespace ezrt::sched {
 
 namespace {
 
-using tpn::FireableTransition;
 using tpn::State;
 
-struct Frame {
-  State state;
-  std::vector<Candidate> candidates;
-  std::size_t next = 0;  ///< index of the next candidate to expand
-};
+/// Branch-and-bound over the same expansion: explore exhaustively, keep
+/// the cheapest schedule, prune branches whose monotone partial cost
+/// already reaches the incumbent. Cost edges:
+///   kMinimizeMakespan — the firing delay (partial cost = elapsed);
+///   kMinimizeSwitches — 1 whenever a compute firing belongs to a
+///     different task than the previous compute firing on the same
+///     processor (per-core context switches).
+/// Its table keeps the best cost per state and readmits a state reached
+/// more cheaply, which a set cannot express, so it has its own loop around
+/// the shared guard, miss test, progress and fold. For switches every
+/// core's previous-compute task is part of the state key: equal (m,c)
+/// with different running tasks have different futures.
+SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
+                               const SchedulerOptions& options,
+                               const GoalPredicate& goal) {
+  SearchShared shared(net, options, goal, 0);
+  SearchWorker w(shared, 0);
+  SearchStats& stats = w.stats;
+  SearchOutcome out;
+  const bool switches = options.objective == Objective::kMinimizeSwitches;
 
-/// Forced-corridor step ceiling per admitted state. A corridor that spins
-/// past it (a zero-delay forced cycle in a hand-built net) admits the
-/// current interior as a decision state, so the visited set regains
-/// termination; builder-produced nets never get near it.
-constexpr std::uint32_t kCorridorCap = 1u << 16;
+  // Per-transition processor index for the switches cost: each compute
+  // transition returns its processor place on completion in every block
+  // style, so the kProcessor place among its outputs identifies the core.
+  // Role-free nets collapse to a single pseudo-core (index 0).
+  std::vector<std::uint32_t> proc_of(net.transition_count(), 0);
+  std::size_t proc_count = 1;
+  if (switches) {
+    std::vector<std::int32_t> place_proc(net.place_count(), -1);
+    std::size_t next_proc = 0;
+    for (TransitionId t : net.transition_ids()) {
+      if (net.transition(t).role != tpn::TransitionRole::kCompute) {
+        continue;
+      }
+      for (const tpn::Arc& arc : net.outputs(t)) {
+        if (net.place(arc.place).role == tpn::PlaceRole::kProcessor) {
+          std::int32_t& idx = place_proc[arc.place.value()];
+          if (idx < 0) {
+            idx = static_cast<std::int32_t>(next_proc++);
+          }
+          proc_of[t.value()] = static_cast<std::uint32_t>(idx);
+        }
+      }
+    }
+    proc_count = std::max<std::size_t>(1, next_proc);
+  }
+
+  struct BbFrame : Frame {
+    std::uint64_t cost = 0;
+    /// Previous compute firing's task per core (empty unless switches).
+    std::vector<TaskId> last_compute;
+  };
+
+  std::unordered_map<Fingerprint, std::uint64_t, FingerprintHash> best_seen;
+  auto table_bytes = [&] {
+    return node_container_bytes(best_seen,
+                                sizeof(Fingerprint) + sizeof(std::uint64_t));
+  };
+  std::vector<BbFrame> stack;
+  Trace current;
+  Trace best_trace;
+  std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
+
+  auto key_of = [&](const State& s, const std::vector<TaskId>& last) {
+    Fingerprint f = fingerprint(s);
+    for (TaskId l : last) {
+      f.b = hash_mix(f.b, l.valid() ? l.value() + 1 : 0);
+    }
+    return f;
+  };
+
+  BbFrame root;
+  root.state = State::initial(net);
+  w.expander.expand(root.state, root.candidates);
+  if (switches) {
+    root.last_compute.assign(proc_count, TaskId());
+  }
+  best_seen.emplace(key_of(root.state, root.last_compute), 0);
+  stats.states_visited = 1;
+  if (goal(std::as_const(root.state).marking())) {
+    best_cost = 0;
+    out.solutions_found = 1;
+  } else {
+    stack.push_back(std::move(root));
+  }
+
+  // A guard verdict or the state budget; either way the incumbent found
+  // so far (if any) is still returned.
+  std::optional<SearchStatus> stop;
+  while (!stack.empty()) {
+    BbFrame& frame = stack.back();
+    stats.max_depth = std::max<std::uint64_t>(stats.max_depth, stack.size());
+    if (frame.next >= frame.candidates.size()) {
+      w.retire(std::move(frame.candidates));
+      stack.pop_back();
+      if (!current.empty()) {
+        current.pop_back();
+      }
+      ++stats.backtracks;
+      continue;
+    }
+    const Candidate cand = frame.candidates[frame.next++];
+    const tpn::Transition& fired = net.transition(cand.fireable.transition);
+
+    std::uint64_t edge_cost = cand.delay;
+    std::vector<TaskId> last_compute = frame.last_compute;
+    if (switches) {
+      edge_cost = 0;
+      if (fired.role == tpn::TransitionRole::kCompute) {
+        const std::uint32_t core = proc_of[cand.fireable.transition.value()];
+        edge_cost = fired.task == last_compute[core] ? 0 : 1;
+        last_compute[core] = fired.task;
+      }
+    }
+    const std::uint64_t cost = frame.cost + edge_cost;
+    if (cost >= best_cost) {
+      continue;  // cannot improve the incumbent
+    }
+
+    State next = w.expander.fire(frame.state, cand);
+    ++stats.transitions_fired;
+    stop = w.poll_guard(
+        [&] { return table_bytes() + stack.size() * shared.frame_bytes; });
+    if (stop.has_value()) {
+      break;
+    }
+    if (shared.has_miss(std::as_const(next).marking())) {
+      ++stats.pruned_deadline;
+      w.attribution.record_deadline(std::as_const(next).marking());
+      continue;
+    }
+    auto [it, inserted] =
+        best_seen.try_emplace(key_of(next, last_compute), cost);
+    if (!inserted) {
+      if (it->second <= cost) {
+        ++stats.pruned_visited;
+        continue;
+      }
+      it->second = cost;  // re-admitted more cheaply: re-expanded
+    }
+    ++stats.states_visited;
+    w.publish(stats.states_visited, stack.size());
+
+    current.push_back(FiringEvent{cand.fireable.transition, cand.delay,
+                                  next.elapsed()});
+    if (goal(std::as_const(next).marking())) {
+      best_cost = cost;
+      best_trace = current;
+      ++out.solutions_found;
+      current.pop_back();
+      continue;
+    }
+    if (options.max_states != 0 && stats.states_visited >= options.max_states) {
+      stop = SearchStatus::kLimitReached;
+      break;
+    }
+    BbFrame child{{std::move(next), w.buffer()}, cost,
+                  std::move(last_compute)};
+    w.expander.expand(child.state, child.candidates);
+    stack.push_back(std::move(child));
+  }
+
+  out.status = stop.value_or(SearchStatus::kInfeasible);
+  if (out.solutions_found > 0) {
+    out.status = SearchStatus::kFeasible;
+    out.trace = std::move(best_trace);
+    out.best_cost = best_cost;
+  }
+  shared.fold(out, std::array{&w}, table_bytes());
+  return out;
+}
 
 }  // namespace
 
@@ -108,552 +265,33 @@ DfsScheduler::DfsScheduler(const tpn::TimePetriNet& net,
   goal_ = [this](const tpn::Marking& m) {
     return tpn::is_final_marking(*net_, m);
   };
-  for (PlaceId p : net.place_ids()) {
-    const tpn::PlaceRole role = net.place(p).role;
-    if (role == tpn::PlaceRole::kMissPending ||
-        role == tpn::PlaceRole::kMissed) {
-      miss_places_.push_back(p);
-    }
-  }
 }
 
 SearchOutcome DfsScheduler::search() const {
-  // The guided engines (docs/search.md) replace the exploration order but
-  // consume the same expansion; they cover the first-feasible objective
-  // and run serially (a priority queue or beam level is a global order —
-  // sharding it would re-serialize the workers on the queue lock).
-  if (options_.search_engine != SearchEngine::kDfs &&
-      options_.objective == Objective::kFirstFeasible) {
-    return guided_search(*net_, options_, goal_, miss_places_);
-  }
-  // The parallel engine covers the first-feasible objective; the
-  // branch-and-bound objectives keep their serial incumbent bookkeeping
-  // (a shared incumbent would serialize the workers anyway).
-  if (options_.threads > 0 &&
-      options_.objective == Objective::kFirstFeasible) {
-    return parallel_search(*net_, options_, goal_, miss_places_);
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  SearchOutcome out;
-  SearchStats& stats = out.stats;
-
-  auto has_miss = [&](const tpn::Marking& m) {
-    for (PlaceId p : miss_places_) {
-      if (m[p] > 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  // Successor generation and firing shared with the parallel engine
-  // (sched/expansion.hpp) — the differential guarantees between the
-  // engines rest on this being the single definition of the pruned
-  // successor graph.
-  Expander expander(*net_, semantics_, options_);
-  obs::ProgressSink* const progress = options_.progress;
-
-  // Blame attribution (sched/attribution.hpp): counts marked miss places
-  // and empty resource places at every deadline/doom prune. Off by
-  // default; when off, each prune pays one predicted branch.
-  AttributionRecorder attribution(*net_, options_.collect_attribution);
-
-  // Resource guards (sched/guards.hpp): `guarded` is hoisted so the
-  // common unguarded configuration pays one predictable branch per fired
-  // transition. Fired transitions — not admitted states — drive the
-  // check mask, so the wall clock keeps getting sampled even through
-  // long all-pruned stretches near exhaustion.
-  const ResourceGuard guard(options_, t0);
-  const bool guarded = guard.armed();
-  const std::uint64_t frame_bytes = estimated_frame_bytes(*net_);
-
-  // Folds the end-of-search observability fields into `out.stats` and,
-  // when requested, the telemetry breakdown. Runs once per return path;
-  // everything here is deterministic for a deterministic exploration.
-  auto finalize = [&](std::uint64_t visited_bytes) {
-    out.attribution = attribution.take();
-    stats.pruned_priority = expander.counters().pruned_priority;
-    stats.peak_visited_bytes = visited_bytes;
-    stats.elapsed_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    if (progress != nullptr) {
-      // Final unmasked publish: the reporter's closing line shows exact
-      // totals even for searches shorter than the publish mask.
-      progress->publish(stats.states_visited, stats.transitions_fired,
-                        stats.pruned_deadline + stats.pruned_visited,
-                        stats.max_depth);
-    }
-    if (options_.collect_telemetry) {
-      out.telemetry.collected = true;
-      out.telemetry.reduction_singletons =
-          expander.counters().reduction_singletons;
-      WorkerTelemetry worker;
-      worker.worker = 0;
-      worker.expansions = expander.counters().expansions;
-      worker.reduction_singletons = expander.counters().reduction_singletons;
-      worker.stats = stats;
-      out.telemetry.workers = {worker};
-    }
-  };
-
-  // Pool of retired candidate vectors: expansion allocates nothing once
-  // the search reaches steady state.
-  std::vector<std::vector<Candidate>> pool;
-  auto pooled_vector = [&]() {
-    if (pool.empty()) {
-      return std::vector<Candidate>{};
-    }
-    std::vector<Candidate> v = std::move(pool.back());
-    pool.pop_back();
-    return v;
-  };
-  auto retire = [&](std::vector<Candidate>&& v) {
-    pool.push_back(std::move(v));
-  };
-
+  // Optimizing objectives keep a serial incumbent (a shared one would
+  // serialize parallel workers anyway).
   if (options_.objective != Objective::kFirstFeasible) {
-    // Branch-and-bound over the same expansion: explore exhaustively,
-    // keep the cheapest schedule, prune branches whose monotone partial
-    // cost already reaches the incumbent. Cost edges:
-    //   kMinimizeMakespan — the firing delay (partial cost = elapsed);
-    //   kMinimizeSwitches — 1 whenever a compute firing belongs to a
-    //     different task than the previous compute firing on the same
-    //     processor (per-core context switches; on mono-processor nets
-    //     this degenerates to the global previous-compute comparison).
-    // The visited table keeps the best cost per state and readmits a
-    // state reached more cheaply. For the switches objective every core's
-    // previous-compute task is folded into the state key (two paths to
-    // equal (m,c) with different running tasks have different futures).
-    const bool switches =
-        options_.objective == Objective::kMinimizeSwitches;
-
-    // Per-transition processor index for the switches cost: each compute
-    // transition returns its processor place on completion in every block
-    // style, so the kProcessor place among its outputs identifies the
-    // core. Role-free nets collapse to a single pseudo-core (index 0).
-    std::vector<std::uint32_t> proc_of(net_->transition_count(), 0);
-    std::size_t proc_count = 1;
-    if (switches) {
-      std::vector<std::int32_t> place_proc(net_->place_count(), -1);
-      std::size_t next_proc = 0;
-      for (TransitionId t : net_->transition_ids()) {
-        if (net_->transition(t).role != tpn::TransitionRole::kCompute) {
-          continue;
-        }
-        for (const tpn::Arc& arc : net_->outputs(t)) {
-          if (net_->place(arc.place).role == tpn::PlaceRole::kProcessor) {
-            std::int32_t& idx = place_proc[arc.place.value()];
-            if (idx < 0) {
-              idx = static_cast<std::int32_t>(next_proc++);
-            }
-            proc_of[t.value()] = static_cast<std::uint32_t>(idx);
-          }
-        }
-      }
-      proc_count = std::max<std::size_t>(1, next_proc);
-    }
-
-    struct BbFrame {
-      State state;
-      std::vector<Candidate> candidates;
-      std::size_t next = 0;
-      std::uint64_t cost = 0;
-      /// Previous compute firing's task per core (empty unless switches).
-      std::vector<TaskId> last_compute;
-    };
-
-    std::unordered_map<Fingerprint, std::uint64_t, FingerprintHash>
-        best_seen;
-    std::vector<BbFrame> stack;
-    Trace current;
-    Trace best_trace;
-    std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
-
-    auto key_of = [&](const State& s, const std::vector<TaskId>& last) {
-      Fingerprint f = fingerprint(s);
-      for (TaskId l : last) {
-        f.b = hash_mix(f.b, l.valid() ? l.value() + 1 : 0);
-      }
-      return f;
-    };
-
-    BbFrame root;
-    root.state = State::initial(*net_);
-    expander.expand(root.state, root.candidates);
-    if (switches) {
-      root.last_compute.assign(proc_count, TaskId());
-    }
-    best_seen.emplace(key_of(root.state, root.last_compute), 0);
-    stats.states_visited = 1;
-    if (goal_(std::as_const(root.state).marking())) {
-      out.status = SearchStatus::kFeasible;
-      out.solutions_found = 1;
-      finalize(node_container_bytes(best_seen, sizeof(Fingerprint) +
-                                                   sizeof(std::uint64_t)));
-      return out;
-    }
-    stack.push_back(std::move(root));
-
-    bool limit_hit = false;
-    std::optional<SearchStatus> guard_status;
-    while (!stack.empty() && !limit_hit) {
-      BbFrame& frame = stack.back();
-      stats.max_depth =
-          std::max<std::uint64_t>(stats.max_depth, stack.size());
-      if (frame.next >= frame.candidates.size()) {
-        retire(std::move(frame.candidates));
-        stack.pop_back();
-        if (!current.empty()) {
-          current.pop_back();
-        }
-        ++stats.backtracks;
-        continue;
-      }
-      const Candidate cand = frame.candidates[frame.next++];
-      const tpn::Transition& fired =
-          net_->transition(cand.fireable.transition);
-
-      std::uint64_t edge_cost = 0;
-      std::vector<TaskId> last_compute = frame.last_compute;
-      if (switches) {
-        if (fired.role == tpn::TransitionRole::kCompute) {
-          const std::uint32_t core = proc_of[cand.fireable.transition.value()];
-          edge_cost = fired.task == last_compute[core] ? 0 : 1;
-          last_compute[core] = fired.task;
-        }
-      } else {
-        edge_cost = cand.delay;
-      }
-      const std::uint64_t cost = frame.cost + edge_cost;
-      if (cost >= best_cost) {
-        continue;  // cannot improve the incumbent
-      }
-
-      State next = expander.fire(frame.state, cand);
-      ++stats.transitions_fired;
-      if (guarded) {
-        if (auto tripped = guard.check(stats.transitions_fired, [&] {
-              return node_container_bytes(
-                         best_seen,
-                         sizeof(Fingerprint) + sizeof(std::uint64_t)) +
-                     stack.size() * frame_bytes;
-            })) {
-          // Same contract as the state budget: the incumbent found so
-          // far (if any) is still returned below.
-          guard_status = tripped;
-          break;
-        }
-      }
-      if (has_miss(std::as_const(next).marking())) {
-        ++stats.pruned_deadline;
-        attribution.record_deadline(std::as_const(next).marking());
-        continue;
-      }
-      const Fingerprint key = key_of(next, last_compute);
-      auto [it, inserted] = best_seen.try_emplace(key, cost);
-      if (!inserted) {
-        if (it->second <= cost) {
-          ++stats.pruned_visited;
-          continue;
-        }
-        it->second = cost;
-        ++stats.states_visited;  // re-admitted more cheaply: re-expanded
-      } else {
-        ++stats.states_visited;
-      }
-      if (progress != nullptr &&
-          (stats.states_visited & obs::ProgressSink::kPublishMask) == 0) {
-        progress->publish(stats.states_visited, stats.transitions_fired,
-                          stats.pruned_deadline + stats.pruned_visited,
-                          stack.size());
-      }
-
-      current.push_back(FiringEvent{cand.fireable.transition, cand.delay,
-                                    next.elapsed()});
-      if (goal_(std::as_const(next).marking())) {
-        best_cost = cost;
-        best_trace = current;
-        ++out.solutions_found;
-        current.pop_back();
-        continue;
-      }
-      if (options_.max_states != 0 &&
-          stats.states_visited >= options_.max_states) {
-        limit_hit = true;
-        current.pop_back();
-        break;
-      }
-      BbFrame child;
-      child.state = std::move(next);
-      child.candidates = pooled_vector();
-      expander.expand(child.state, child.candidates);
-      child.cost = cost;
-      child.last_compute = std::move(last_compute);
-      stack.push_back(std::move(child));
-    }
-
-    if (out.solutions_found > 0) {
-      out.status = SearchStatus::kFeasible;
-      out.trace = std::move(best_trace);
-      out.best_cost = best_cost;
-    } else if (guard_status.has_value()) {
-      out.status = *guard_status;
-    } else {
-      out.status = limit_hit ? SearchStatus::kLimitReached
-                             : SearchStatus::kInfeasible;
-    }
-    finalize(node_container_bytes(best_seen, sizeof(Fingerprint) +
-                                                 sizeof(std::uint64_t)));
-    return out;
+    return branch_and_bound(*net_, options_, goal_);
   }
-
-  if (state_classes_enabled(options_)) {
-    // State-class exploration (docs/search.md §3): the visited set keys on
-    // canonical class digests, the slack certificate cuts doomed branches,
-    // and forced corridors (single-candidate chains) are contracted so only
-    // decision states are admitted and counted. Goal reachability — and
-    // with it the verdict — is exactly that of the plain loop below.
-    const tpn::StateClassifier classifier(*net_);
-    tpn::StateClassifier::Scratch scratch;
-
-    struct ClassFrame {
-      State state;
-      std::vector<Candidate> candidates;
-      std::size_t next = 0;
-      std::uint32_t events = 0;  ///< trace events this frame contributed
-    };
-
-    std::unordered_set<Fingerprint, FingerprintHash> visited;
-    std::vector<ClassFrame> stack;
-
-    auto canonical = [&](const State& s) {
-      const auto cd = classifier.canonical_digest(s, semantics_);
-      return std::pair<Fingerprint, bool>(
-          Fingerprint{cd.digest.a, cd.digest.b}, cd.capped);
-    };
-
-    State s0 = State::initial(*net_);
-    visited.insert(canonical(s0).first);
-    stats.states_visited = 1;
-    if (goal_(std::as_const(s0).marking())) {
-      out.status = SearchStatus::kFeasible;
-      finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-      return out;
-    }
-    stack.push_back(ClassFrame{std::move(s0), {}, 0, 0});
-    expander.expand(stack.back().state, stack.back().candidates);
-
-    while (!stack.empty()) {
-      ClassFrame& frame = stack.back();
-      stats.max_depth =
-          std::max<std::uint64_t>(stats.max_depth, stack.size());
-      if (frame.next >= frame.candidates.size()) {
-        const std::uint32_t events = frame.events;
-        retire(std::move(frame.candidates));
-        stack.pop_back();
-        for (std::uint32_t i = 0; i < events; ++i) {
-          out.trace.pop_back();
-        }
-        ++stats.backtracks;
-        continue;
-      }
-
-      Candidate cand = frame.candidates[frame.next++];
-      State next = expander.fire(frame.state, cand);
-      ++stats.transitions_fired;
-
-      std::vector<Candidate> cands = pooled_vector();
-      std::uint32_t events = 0;
-      bool pruned = false;
-      bool capped = false;
-      Fingerprint fp;
-      // Corridor chase: walk single-candidate successors inline until a
-      // decision state (>= 2 candidates), a dead end, or a prune. Interior
-      // states are checked against the visited set but never inserted.
-      for (;;) {
-        out.trace.push_back(FiringEvent{cand.fireable.transition, cand.delay,
-                                        next.elapsed()});
-        ++events;
-        if (guarded) {
-          if (auto tripped = guard.check(stats.transitions_fired, [&] {
-                return node_container_bytes(visited, sizeof(Fingerprint)) +
-                       stack.size() * frame_bytes;
-              })) {
-            out.status = *tripped;
-            out.trace.clear();
-            finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-            return out;
-          }
-        }
-        if (has_miss(std::as_const(next).marking())) {
-          ++stats.pruned_deadline;
-          attribution.record_deadline(std::as_const(next).marking());
-          pruned = true;
-          break;
-        }
-        if (goal_(std::as_const(next).marking())) {
-          out.status = SearchStatus::kFeasible;
-          finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-          return out;
-        }
-        if (const auto eval = classifier.evaluate(next, semantics_, scratch);
-            eval.doomed) {
-          ++stats.pruned_doomed;
-          attribution.record_doomed(eval.doomed_watchdog,
-                                    std::as_const(next).marking());
-          pruned = true;
-          break;
-        }
-        const auto [canon_fp, canon_capped] = canonical(next);
-        fp = canon_fp;
-        capped = canon_capped;
-        expander.expand(next, cands);
-        if (cands.size() != 1 || events > kCorridorCap) {
-          break;  // decision state (or the corridor safety valve)
-        }
-        if (visited.contains(fp)) {
-          // The corridor rejoined an explored class.
-          ++stats.pruned_visited;
-          pruned = true;
-          break;
-        }
-        cand = cands[0];
-        next = expander.fire(next, cand);
-        ++stats.transitions_fired;
-      }
-
-      if (!pruned && !visited.insert(fp).second) {
-        ++stats.pruned_visited;
-        pruned = true;
-      }
-      if (pruned) {
-        for (std::uint32_t i = 0; i < events; ++i) {
-          out.trace.pop_back();
-        }
-        retire(std::move(cands));
-        continue;
-      }
-      ++stats.states_visited;
-      if (capped) {
-        ++stats.classes_merged;
-      }
-      if (progress != nullptr &&
-          (stats.states_visited & obs::ProgressSink::kPublishMask) == 0) {
-        progress->publish(stats.states_visited, stats.transitions_fired,
-                          stats.pruned_deadline + stats.pruned_visited,
-                          stack.size());
-      }
-      if (options_.max_states != 0 &&
-          stats.states_visited >= options_.max_states) {
-        out.status = SearchStatus::kLimitReached;
-        out.trace.clear();
-        finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-        return out;
-      }
-      stack.push_back(ClassFrame{std::move(next), std::move(cands), 0,
-                                 events});
-    }
-
-    out.status = SearchStatus::kInfeasible;
-    out.trace.clear();
-    finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-    return out;
+  // A priority queue or beam level is a global order — sharding it would
+  // re-serialize the workers on the queue lock — so these stay serial.
+  if (options_.search_engine != SearchEngine::kDfs) {
+    return guided_search(*net_, options_, goal_);
   }
-
-  std::unordered_set<Fingerprint, FingerprintHash> visited;
-  std::vector<Frame> stack;
-
-  State s0 = State::initial(*net_);
-  visited.insert(fingerprint(s0));
-  stats.states_visited = 1;
-
-  if (goal_(std::as_const(s0).marking())) {
-    out.status = SearchStatus::kFeasible;
-    finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-    return out;
+  if (options_.threads > 0) {
+    return parallel_search(*net_, options_, goal_);
   }
-
-  out.trace.clear();
-  stack.push_back(Frame{std::move(s0), {}, 0});
-  expander.expand(stack.back().state, stack.back().candidates);
-
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    stats.max_depth = std::max<std::uint64_t>(stats.max_depth, stack.size());
-
-    if (frame.next >= frame.candidates.size()) {
-      // Subtree exhausted: backtrack.
-      retire(std::move(frame.candidates));
-      stack.pop_back();
-      if (!out.trace.empty()) {
-        out.trace.pop_back();
-      }
-      ++stats.backtracks;
-      continue;
-    }
-
-    const Candidate cand = frame.candidates[frame.next++];
-    State next = expander.fire(frame.state, cand);
-    ++stats.transitions_fired;
-
-    if (guarded) {
-      if (auto tripped = guard.check(stats.transitions_fired, [&] {
-            return node_container_bytes(visited, sizeof(Fingerprint)) +
-                   stack.size() * frame_bytes;
-          })) {
-        out.status = *tripped;
-        out.trace.clear();
-        finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-        return out;
-      }
-    }
-
-    if (has_miss(std::as_const(next).marking())) {
-      ++stats.pruned_deadline;
-      attribution.record_deadline(std::as_const(next).marking());
-      continue;
-    }
-    if (!visited.insert(fingerprint(next)).second) {
-      ++stats.pruned_visited;
-      continue;
-    }
-    ++stats.states_visited;
-    if (progress != nullptr &&
-        (stats.states_visited & obs::ProgressSink::kPublishMask) == 0) {
-      progress->publish(stats.states_visited, stats.transitions_fired,
-                        stats.pruned_deadline + stats.pruned_visited,
-                        stack.size());
-    }
-
-    out.trace.push_back(
-        FiringEvent{cand.fireable.transition, cand.delay, next.elapsed()});
-
-    if (goal_(std::as_const(next).marking())) {
-      out.status = SearchStatus::kFeasible;
-      finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-      return out;
-    }
-
-    if (options_.max_states != 0 &&
-        stats.states_visited >= options_.max_states) {
-      out.status = SearchStatus::kLimitReached;
-      out.trace.clear();
-      finalize(node_container_bytes(visited, sizeof(Fingerprint)));
-      return out;
-    }
-
-    Frame child;
-    child.state = std::move(next);
-    child.candidates = pooled_vector();
-    expander.expand(child.state, child.candidates);
-    stack.push_back(std::move(child));
-  }
-
-  out.status = SearchStatus::kInfeasible;
-  out.trace.clear();
-  finalize(node_container_bytes(visited, sizeof(Fingerprint)));
+  // Serial DFS is the parallel worker's stack loop without a pool.
+  SearchShared shared(*net_, options_, goal_, 0);
+  SearchWorker w(shared, 0);
+  SearchOutcome out;
+  WorkItem root;
+  out.status = w.admit_root(root.frame) == Admit::kFinal
+                   ? SearchStatus::kFeasible
+                   : w.run_stack(root, [](const WorkItem&) { return true; })
+                         .value_or(SearchStatus::kInfeasible);
+  out.trace = std::move(w.trace);  // set by a goal only
+  shared.fold(out, std::array{&w}, shared.visited->memory_bytes());
   return out;
 }
 

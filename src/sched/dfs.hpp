@@ -263,9 +263,6 @@ class DfsScheduler {
   tpn::Semantics semantics_;
   SchedulerOptions options_;
   GoalPredicate goal_;
-  /// Deadline-miss places, collected once so the per-firing undesirable-
-  /// state check touches only them instead of scanning every place.
-  std::vector<PlaceId> miss_places_;
 };
 
 }  // namespace ezrt::sched

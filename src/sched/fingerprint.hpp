@@ -1,14 +1,10 @@
-// Shared 128-bit state fingerprinting for the search engines.
+// 128-bit state fingerprints for the branch-and-bound cost map.
 //
-// Every engine (serial DFS, guided best-first/beam, reachability, the
-// parallel workers) keys its visited structure by the state's Zobrist
-// digest instead of the full state: membership costs 16 bytes per state
-// regardless of net size, and the collision probability over two
-// independent 64-bit hashes is negligible against the state counts
-// reachable in practice. The definitions used to be duplicated per
-// engine translation unit; they live here once now, so the CAS visited
-// table (sched/lockfree_table.hpp) and the hash-set engines provably
-// agree on the key function.
+// The first-feasible engines and reachability key the flat CasVisitedSet
+// (sched/visited_set.hpp) on the state's Zobrist digest directly;
+// branch-and-bound keeps a best-cost-per-state map instead, keyed by the
+// same digest (extended with the per-core running tasks), so every engine
+// agrees on the key function.
 #pragma once
 
 #include <cstddef>

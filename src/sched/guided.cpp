@@ -1,44 +1,20 @@
 #include "sched/guided.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <queue>
-#include <unordered_set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "base/assert.hpp"
-#include "base/hash.hpp"
-#include "obs/progress.hpp"
-#include "sched/expansion.hpp"
-#include "sched/fingerprint.hpp"
-#include "sched/guards.hpp"
-#include "tpn/state_class.hpp"
+#include "sched/search_kernel.hpp"
 
 namespace ezrt::sched {
 
 namespace {
-
-using tpn::State;
-
-constexpr std::uint32_t kNoParent = 0xffffffffu;
-
-/// Same corridor safety valve as the serial class-keyed loop.
-constexpr std::uint32_t kCorridorCap = 1u << 16;
-
-/// One admitted frontier state. Nodes live in an append-only arena so a
-/// goal's trace can be rebuilt by walking parent links; `events` holds the
-/// edge from the parent — one firing normally, the whole contracted
-/// corridor when state classes are on.
-struct Node {
-  State state;
-  std::vector<Candidate> candidates;  ///< expansion, computed at admission
-  std::vector<FiringEvent> events;
-  std::uint32_t parent = kNoParent;
-  std::uint32_t depth = 0;  ///< trace events from the root to this node
-};
 
 /// Frontier ordering key: primary f = elapsed + remaining-work bound
 /// (admissible, so best-first stays complete). An admissible h leaves
@@ -56,384 +32,179 @@ struct Entry {
 
 struct EntryWorse {
   bool operator()(const Entry& a, const Entry& b) const {
-    if (a.h != b.h) {
-      return a.h > b.h;
-    }
-    if (a.f != b.f) {
-      return a.f > b.f;
-    }
-    if (a.slack != b.slack) {
-      return a.slack > b.slack;
-    }
-    return a.node < b.node;  // LIFO: the newest admission expands first
+    // The node order is reversed: the newest admission expands first.
+    return std::tie(a.h, a.f, a.slack, b.node) >
+           std::tie(b.h, b.f, b.slack, a.node);
   }
 };
 
-class GuidedSearcher {
+/// The heap and level frontiers over the shared admission step. Admitted
+/// frames live in an append-only arena with parent links; their entering
+/// events sit in one flat vector, so a goal's trace is rebuilt by walking
+/// the parents.
+class GuidedSearch {
  public:
-  GuidedSearcher(const tpn::TimePetriNet& net, const SchedulerOptions& options,
-                 const GoalPredicate& goal,
-                 const std::vector<PlaceId>& miss_places)
-      : net_(net),
-        options_(options),
-        goal_(goal),
-        miss_places_(miss_places),
-        semantics_(net),
-        expander_(net, semantics_, options),
-        classifier_(net),
-        attribution_(net, options.collect_attribution),
-        classes_on_(state_classes_enabled(options)),
-        t0_(std::chrono::steady_clock::now()),
-        guard_(options, t0_),
-        guarded_(guard_.armed()),
-        frame_bytes_(estimated_frame_bytes(net)) {}
+  GuidedSearch(const tpn::TimePetriNet& net, const SchedulerOptions& options,
+               const GoalPredicate& goal)
+      : shared_(net, options, goal, 0), w_(shared_, 0, /*heuristic=*/true) {}
 
   SearchOutcome run() {
-    if (options_.search_engine == SearchEngine::kBestFirst) {
-      run_best_first();
-    } else {
-      run_beam();
-    }
-    finalize();
-    return std::move(out_);
+    SearchOutcome out;
+    out.status = shared_.options.search_engine == SearchEngine::kBestFirst
+                     ? best_first()
+                     : beam();
+    out.trace = std::move(trace_);  // set by a goal only
+    shared_.fold(out, std::array{&w_},
+                 std::max(peak_bytes_, shared_.visited->memory_bytes()));
+    return out;
   }
 
  private:
-  SearchStats& stats() { return out_.stats; }
+  /// Frontier entry of the state admitted last (evaluated in `w_.eval`).
+  [[nodiscard]] Entry entry(std::uint32_t node) const {
+    const Time h = w_.eval.remaining_work;
+    return Entry{nodes_[node].state.elapsed() + h, h, w_.eval.min_slack,
+                 node};
+  }
 
-  [[nodiscard]] bool has_miss(const tpn::Marking& m) const {
-    for (PlaceId p : miss_places_) {
-      if (m[p] > 0) {
-        return true;
+  /// Starts a fresh arena at s0; false when s0 is already the goal.
+  bool admit_root() {
+    nodes_.assign(1, Frame{});
+    edges_.clear();
+    return w_.admit_root(nodes_[0]) == Admit::kAdmitted;
+  }
+
+  /// Admits every candidate of node `idx`, handing each admitted child's
+  /// entry to `push`. Returns the final status of an admission that ended
+  /// the search (the goal's trace is in trace_), nullopt otherwise.
+  template <typename Push>
+  std::optional<SearchStatus> expand(std::uint32_t idx, Push&& push) {
+    for (std::size_t i = 0; i < nodes_[idx].candidates.size(); ++i) {
+      Frame child{{}, w_.buffer()};
+      const Admit r = w_.admit(nodes_[idx], nodes_[idx].candidates[i],
+                               nodes_.size(), child);
+      if (r == Admit::kPruned) {
+        w_.retire(std::move(child.candidates));
+        continue;
       }
+      if (r == Admit::kFinal) {
+        if (w_.status == SearchStatus::kFeasible) {
+          set_goal_trace(idx);
+        }
+        return w_.status;
+      }
+      child.parent = idx;
+      child.edge_at = edges_.size();
+      child.events = static_cast<std::uint32_t>(w_.edge.size());
+      edges_.insert(edges_.end(), w_.edge.begin(), w_.edge.end());
+      nodes_.push_back(std::move(child));
+      push(entry(static_cast<std::uint32_t>(nodes_.size() - 1)));
     }
-    return false;
+    // An expanded node keeps its state and edge (trace reconstruction);
+    // only the candidate buffer goes back to the pool.
+    w_.retire(std::move(nodes_[idx].candidates));
+    return std::nullopt;
   }
 
-  [[nodiscard]] std::uint64_t memory_bytes() const {
-    return node_container_bytes(visited_, sizeof(Fingerprint)) +
-           nodes_.size() * frame_bytes_;
-  }
-
-  [[nodiscard]] std::pair<Fingerprint, bool> key_of(const State& s) const {
-    if (!classes_on_) {
-      return {fingerprint(s), false};
-    }
-    const auto cd = classifier_.canonical_digest(s, semantics_);
-    return {Fingerprint{cd.digest.a, cd.digest.b}, cd.capped};
-  }
-
-  /// Rebuilds the root-to-goal trace: ancestor edges via parent links,
-  /// then the in-flight edge that reached the goal.
-  void set_goal_trace(std::uint32_t parent,
-                      const std::vector<FiringEvent>& edge) {
+  /// Root-to-goal trace: ancestor edges via parent links (node 0 is s0,
+  /// with no edge), then the in-flight edge that reached the goal.
+  void set_goal_trace(std::uint32_t parent) {
     std::vector<std::uint32_t> chain;
-    for (std::uint32_t i = parent; i != kNoParent; i = nodes_[i].parent) {
+    for (std::uint32_t i = parent; i != 0; i = nodes_[i].parent) {
       chain.push_back(i);
     }
-    out_.trace.clear();
+    trace_.clear();
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const Node& n = nodes_[*it];
-      out_.trace.insert(out_.trace.end(), n.events.begin(), n.events.end());
+      const auto from = edges_.begin() +
+                        static_cast<std::ptrdiff_t>(nodes_[*it].edge_at);
+      trace_.insert(trace_.end(), from, from + nodes_[*it].events);
     }
-    out_.trace.insert(out_.trace.end(), edge.begin(), edge.end());
+    trace_.insert(trace_.end(), w_.edge.begin(), w_.edge.end());
   }
 
-  void publish_progress(std::uint64_t depth_hint) {
-    obs::ProgressSink* const progress = options_.progress;
-    if (progress != nullptr &&
-        (stats().states_visited & obs::ProgressSink::kPublishMask) == 0) {
-      progress->publish(stats().states_visited, stats().transitions_fired,
-                        stats().pruned_deadline + stats().pruned_visited,
-                        depth_hint);
-    }
-  }
-
-  /// Admits the root; returns false when s0 is already the goal (or trips
-  /// a guard) and the outcome is final.
-  bool admit_root() {
-    State s0 = State::initial(net_);
-    if (goal_(std::as_const(s0).marking())) {
-      out_.status = SearchStatus::kFeasible;
-      out_.trace.clear();
-      return false;
-    }
-    visited_.insert(key_of(s0).first);
-    ++stats().states_visited;
-    Node root;
-    root.state = std::move(s0);
-    expander_.expand(root.state, root.candidates);
-    const auto eval = classifier_.evaluate(root.state, semantics_, scratch_);
-    ++stats().heuristic_evals;
-    root_entry_ = Entry{std::as_const(root.state).elapsed() +
-                            eval.remaining_work,
-                        eval.remaining_work, eval.min_slack, 0};
-    nodes_.push_back(std::move(root));
-    return true;
-  }
-
-  /// Fires `cand` from `parent`, chases the forced corridor when classes
-  /// are on, and admits the resulting decision state. Returns its frontier
-  /// entry, or nullopt when the successor was pruned. A set `terminal_`
-  /// means the whole search is over (goal, budget, or guard).
-  std::optional<Entry> admit(std::uint32_t parent, Candidate cand) {
-    State next = expander_.fire(nodes_[parent].state, cand);
-    ++stats().transitions_fired;
-
-    std::vector<FiringEvent> edge;
-    std::vector<Candidate> cands;
-    Fingerprint fp;
-    bool capped = false;
-    tpn::StateClassifier::Eval eval;
-    for (;;) {
-      edge.push_back(FiringEvent{cand.fireable.transition, cand.delay,
-                                 std::as_const(next).elapsed()});
-      if (guarded_) {
-        if (auto tripped = guard_.check(stats().transitions_fired,
-                                        [&] { return memory_bytes(); })) {
-          terminal_ = *tripped;
-          return std::nullopt;
-        }
-      }
-      if (has_miss(std::as_const(next).marking())) {
-        ++stats().pruned_deadline;
-        attribution_.record_deadline(std::as_const(next).marking());
-        return std::nullopt;
-      }
-      if (goal_(std::as_const(next).marking())) {
-        set_goal_trace(parent, edge);
-        terminal_ = SearchStatus::kFeasible;
-        return std::nullopt;
-      }
-      eval = classifier_.evaluate(next, semantics_, scratch_);
-      ++stats().heuristic_evals;
-      if (classes_on_ && eval.doomed) {
-        ++stats().pruned_doomed;
-        attribution_.record_doomed(eval.doomed_watchdog,
-                                   std::as_const(next).marking());
-        return std::nullopt;
-      }
-      const auto [canon_fp, canon_capped] = key_of(next);
-      fp = canon_fp;
-      capped = canon_capped;
-      expander_.expand(next, cands);
-      if (!classes_on_ || cands.size() != 1 ||
-          edge.size() > kCorridorCap) {
-        break;  // decision state (or the corridor safety valve)
-      }
-      if (visited_.contains(fp)) {
-        ++stats().pruned_visited;
-        return std::nullopt;
-      }
-      cand = cands[0];
-      next = expander_.fire(next, cand);
-      ++stats().transitions_fired;
-    }
-
-    if (!visited_.insert(fp).second) {
-      ++stats().pruned_visited;
-      return std::nullopt;
-    }
-    ++stats().states_visited;
-    if (capped) {
-      ++stats().classes_merged;
-    }
-
-    Node node;
-    node.state = std::move(next);
-    node.candidates = std::move(cands);
-    node.events = std::move(edge);
-    node.parent = parent;
-    node.depth = nodes_[parent].depth +
-                 static_cast<std::uint32_t>(node.events.size());
-    stats().max_depth = std::max<std::uint64_t>(stats().max_depth, node.depth);
-    publish_progress(node.depth);
-
-    if (options_.max_states != 0 &&
-        stats().states_visited >= options_.max_states) {
-      terminal_ = SearchStatus::kLimitReached;
-      return std::nullopt;
-    }
-
-    const Entry entry{std::as_const(node.state).elapsed() +
-                          eval.remaining_work,
-                      eval.remaining_work, eval.min_slack,
-                      static_cast<std::uint32_t>(nodes_.size())};
-    nodes_.push_back(std::move(node));
-    return entry;
-  }
-
-  void run_best_first() {
+  SearchStatus best_first() {
     if (!admit_root()) {
-      return;
+      return SearchStatus::kFeasible;
     }
     std::priority_queue<Entry, std::vector<Entry>, EntryWorse> open;
-    open.push(root_entry_);
+    open.push(entry(0));
     while (!open.empty()) {
-      const Entry top = open.top();
+      const std::uint32_t idx = open.top().node;
       open.pop();
-      const std::uint32_t idx = top.node;
-      const std::size_t fan = nodes_[idx].candidates.size();
-      for (std::size_t i = 0; i < fan; ++i) {
-        // Copy: admit() appends to nodes_, invalidating references.
-        const Candidate cand = nodes_[idx].candidates[i];
-        if (auto entry = admit(idx, cand)) {
-          open.push(*entry);
-        } else if (terminal_.has_value()) {
-          out_.status = *terminal_;
-          return;
-        }
+      if (auto status = expand(idx, [&](Entry e) { open.push(e); })) {
+        return *status;
       }
-      // Expanded nodes keep their state (trace reconstruction only needs
-      // events, but a vector arena cannot free per-element); release the
-      // candidate buffer at least.
-      nodes_[idx].candidates = {};
     }
     // Frontier exhausted with an admissible, non-pruning order: every
     // reachable class was expanded, so infeasibility is proven.
-    out_.status = SearchStatus::kInfeasible;
-    out_.trace.clear();
+    return SearchStatus::kInfeasible;
   }
 
-  /// One fixed-width beam pass over a fresh arena/visited set. Returns
-  /// true when the pass produced a final outcome (goal, budget or guard);
-  /// false when it ran to completion without a goal, with `dropped`
-  /// telling whether the width limit discarded any state.
-  bool beam_pass(std::uint32_t width, bool& dropped) {
-    nodes_.clear();
-    visited_.clear();
-    dropped = false;
-    if (!admit_root()) {
-      return true;
-    }
-    std::vector<std::uint32_t> level{0};
-    std::vector<Entry> scored;
-    while (!level.empty()) {
-      scored.clear();
-      for (const std::uint32_t idx : level) {
-        const std::size_t fan = nodes_[idx].candidates.size();
-        for (std::size_t i = 0; i < fan; ++i) {
-          const Candidate cand = nodes_[idx].candidates[i];
-          if (auto entry = admit(idx, cand)) {
-            scored.push_back(*entry);
-          } else if (terminal_.has_value()) {
-            out_.status = *terminal_;
-            return true;
+  /// Fixed-width passes over a fresh arena and table; with widening the
+  /// width doubles after every pass that dropped states without a goal.
+  SearchStatus beam() {
+    std::uint32_t width =
+        std::max<std::uint32_t>(1, shared_.options.beam_width);
+    for (;;) {
+      if (!admit_root()) {
+        return SearchStatus::kFeasible;
+      }
+      bool dropped = false;
+      std::vector<Entry> level{entry(0)};
+      std::vector<Entry> scored;
+      while (!level.empty()) {
+        scored.clear();
+        for (const Entry& e : level) {
+          if (auto status =
+                  expand(e.node, [&](Entry x) { scored.push_back(x); })) {
+            return *status;
           }
         }
-        nodes_[idx].candidates = {};
+        std::sort(scored.begin(), scored.end(),
+                  [](const Entry& a, const Entry& b) {
+                    return EntryWorse{}(b, a);  // best (lowest key) first
+                  });
+        if (scored.size() > width) {
+          w_.stats.beam_dropped += scored.size() - width;
+          dropped = true;
+          scored.resize(width);
+        }
+        level.swap(scored);
       }
-      std::sort(scored.begin(), scored.end(), [](const Entry& a,
-                                                 const Entry& b) {
-        return EntryWorse{}(b, a);  // best (lowest key) first
-      });
-      if (scored.size() > width) {
-        stats().beam_dropped += scored.size() - width;
-        dropped = true;
-        scored.resize(width);
-      }
-      level.clear();
-      for (const Entry& e : scored) {
-        level.push_back(e.node);
-      }
-    }
-    return false;
-  }
-
-  void run_beam() {
-    std::uint32_t width = std::max<std::uint32_t>(1, options_.beam_width);
-    for (;;) {
-      bool dropped = false;
-      if (beam_pass(width, dropped)) {
-        return;  // out_.status already set (goal, budget or guard)
-      }
-      // Record this pass's visited footprint before a widening rerun
-      // clears the table — peak_visited_bytes must cover the whole run.
-      pass_peak_bytes_ = std::max(
-          pass_peak_bytes_, node_container_bytes(visited_,
-                                                 sizeof(Fingerprint)));
       if (!dropped) {
         // The width never bound, so the pass explored every reachable
         // class: a sound exhaustive verdict even without widening.
-        out_.status = SearchStatus::kInfeasible;
-        out_.trace.clear();
-        return;
+        return SearchStatus::kInfeasible;
       }
-      if (!options_.widen) {
+      if (!shared_.options.widen) {
         // Inconclusive: states were dropped and no goal appeared. Never
         // report kInfeasible from an incomplete exploration.
-        out_.status = SearchStatus::kLimitReached;
-        out_.trace.clear();
-        return;
+        return SearchStatus::kLimitReached;
       }
       width = width > (1u << 30) ? 0xffffffffu : width * 2;
+      peak_bytes_ = std::max(peak_bytes_, shared_.visited->memory_bytes());
+      shared_.visited.emplace(1, 1);
     }
   }
 
-  void finalize() {
-    out_.attribution = attribution_.take();
-    SearchStats& s = stats();
-    s.pruned_priority = expander_.counters().pruned_priority;
-    s.peak_visited_bytes = std::max(
-        pass_peak_bytes_, node_container_bytes(visited_,
-                                               sizeof(Fingerprint)));
-    s.elapsed_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0_)
-                       .count();
-    if (options_.progress != nullptr) {
-      options_.progress->publish(s.states_visited, s.transitions_fired,
-                                 s.pruned_deadline + s.pruned_visited,
-                                 s.max_depth);
-    }
-    if (options_.collect_telemetry) {
-      out_.telemetry.collected = true;
-      out_.telemetry.reduction_singletons =
-          expander_.counters().reduction_singletons;
-      WorkerTelemetry worker;
-      worker.worker = 0;
-      worker.expansions = expander_.counters().expansions;
-      worker.reduction_singletons =
-          expander_.counters().reduction_singletons;
-      worker.stats = s;
-      out_.telemetry.workers = {worker};
-    }
-  }
-
-  const tpn::TimePetriNet& net_;
-  const SchedulerOptions& options_;
-  const GoalPredicate& goal_;
-  const std::vector<PlaceId>& miss_places_;
-  tpn::Semantics semantics_;
-  Expander expander_;
-  tpn::StateClassifier classifier_;
-  tpn::StateClassifier::Scratch scratch_;
-  AttributionRecorder attribution_;
-  const bool classes_on_;
-  const std::chrono::steady_clock::time_point t0_;
-  const ResourceGuard guard_;
-  const bool guarded_;
-  const std::uint64_t frame_bytes_;
-
-  SearchOutcome out_;
-  std::vector<Node> nodes_;
-  std::unordered_set<Fingerprint, FingerprintHash> visited_;
-  Entry root_entry_;
-  std::optional<SearchStatus> terminal_;
-  std::uint64_t pass_peak_bytes_ = 0;
+  SearchShared shared_;
+  SearchWorker w_;
+  std::vector<Frame> nodes_;
+  std::vector<FiringEvent> edges_;
+  Trace trace_;
+  std::uint64_t peak_bytes_ = 0;  ///< of the tables earlier passes retired
 };
 
 }  // namespace
 
 SearchOutcome guided_search(const tpn::TimePetriNet& net,
                             const SchedulerOptions& options,
-                            const GoalPredicate& goal,
-                            const std::vector<PlaceId>& miss_places) {
+                            const GoalPredicate& goal) {
   EZRT_CHECK(options.search_engine != SearchEngine::kDfs,
              "guided_search requires a guided engine");
   EZRT_CHECK(options.objective == Objective::kFirstFeasible,
              "guided engines cover the first-feasible objective only");
-  GuidedSearcher searcher(net, options, goal, miss_places);
-  return searcher.run();
+  return GuidedSearch(net, options, goal).run();
 }
 
 }  // namespace ezrt::sched

@@ -20,12 +20,11 @@
 //     or a pass completes without dropping anything, which makes that
 //     pass exhaustive and its kInfeasible sound.
 //
-// With state classes enabled (sched::state_classes_enabled) both engines
-// also key their visited sets on canonical class digests, cut doomed
-// branches, and contract forced corridors, like the serial DFS.
+// Both are frontiers over the shared admission step (sched/search_kernel.hpp),
+// so with state classes enabled (sched::state_classes_enabled) they key on
+// canonical class digests, cut doomed branches and contract forced
+// corridors exactly like the DFS.
 #pragma once
-
-#include <vector>
 
 #include "sched/dfs.hpp"
 
@@ -34,10 +33,9 @@ namespace ezrt::sched {
 /// Runs the engine selected by options.search_engine (kBestFirst or
 /// kBeam). Preconditions (checked): a guided engine is selected and
 /// options.objective == kFirstFeasible. Always serial; options.threads is
-/// ignored. `miss_places` is the precollected undesirable-place set,
-/// shared with the serial engine.
-[[nodiscard]] SearchOutcome guided_search(
-    const tpn::TimePetriNet& net, const SchedulerOptions& options,
-    const GoalPredicate& goal, const std::vector<PlaceId>& miss_places);
+/// ignored.
+[[nodiscard]] SearchOutcome guided_search(const tpn::TimePetriNet& net,
+                                          const SchedulerOptions& options,
+                                          const GoalPredicate& goal);
 
 }  // namespace ezrt::sched

@@ -1,9 +1,8 @@
 #include "sched/parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -13,375 +12,96 @@
 #include <vector>
 
 #include "base/assert.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
-#include "sched/expansion.hpp"
-#include "sched/guards.hpp"
-#include "sched/visited_set.hpp"
+#include "sched/search_kernel.hpp"
 #include "sched/work_stealing.hpp"
-#include "tpn/analysis.hpp"
-#include "tpn/semantics.hpp"
-#include "tpn/state_class.hpp"
 
 namespace ezrt::sched {
 
 namespace {
 
-using tpn::State;
+/// Preference among concurrent outcomes: a goal found alongside a budget
+/// or guard stop counts as feasible (the serial engine tests the goal
+/// before the limits too), and a guard verdict (time/memory/cancel)
+/// outranks the state budget — it names the ceiling the operator set
+/// tightest. Among equals the first to arrive wins.
+[[nodiscard]] int rank(SearchStatus status) {
+  if (status == SearchStatus::kFeasible) {
+    return 3;
+  }
+  if (status == SearchStatus::kInfeasible) {
+    return 0;
+  }
+  return status == SearchStatus::kLimitReached ? 1 : 2;
+}
 
-/// An admitted search node handed between workers: the state (already
-/// inserted into the visited set and counted) plus the full firing path
-/// from s0 that produced it — needed so the finder of the goal can return
-/// a complete trace without any global reconstruction step.
-struct WorkItem {
-  State state;
-  Trace prefix;
-};
-
-struct Frame {
-  State state;
-  std::vector<Candidate> candidates;
-  std::size_t next = 0;  ///< index of the next candidate to expand
-  /// local_path length at the time this frame was pushed — the number of
-  /// local events leading *into* this frame's state. With state classes
-  /// off every edge is one event and path_base equals the frame index;
-  /// with the corridor contraction an edge holds the whole forced chain.
-  std::size_t path_base = 0;
-  std::uint32_t events = 0;  ///< local_path events this frame contributed
-};
-
-/// Forced-corridor step ceiling per admitted state (same safety valve as
-/// the serial class-keyed loop in dfs.cpp).
-constexpr std::uint32_t kCorridorCap = 1u << 16;
-
-/// Everything the workers share. Work moves through per-worker Chase-Lev
-/// deques with steal-half (sched/work_stealing.hpp) and the visited set is
-/// the lock-free CAS table (sched/visited_set.hpp) — the termination
-/// protocol is still the idle-counting one: when every worker is parked at
-/// once over an empty pool, the search space is exhausted and the last one
-/// to park declares completion (docs/concurrency.md).
+/// Every worker runs the serial DFS's stack loop (SearchWorker::run_stack)
+/// and shares its visited table through SearchShared; this class adds
+/// only the Chase-Lev pool (sched/work_stealing.hpp), donation, the
+/// cooperative stop and the per-worker merge. Termination is the
+/// idle-counting protocol: when every worker is parked at once over an
+/// empty pool, the search space is exhausted (docs/concurrency.md).
 class ParallelSearch {
  public:
-  ParallelSearch(const tpn::TimePetriNet& net,
-                 const SchedulerOptions& options, const GoalPredicate& goal,
-                 const std::vector<PlaceId>& miss_places)
-      : net_(&net),
-        options_(&options),
-        goal_(&goal),
-        miss_places_(&miss_places),
-        semantics_(net),
-        classifier_(net),
-        classes_on_(state_classes_enabled(options)),
-        thread_count_(std::max<std::uint32_t>(1, options.threads)),
-        visited_(std::max<std::size_t>(16, std::size_t{thread_count_} * 4),
-                 thread_count_),
-        progress_(options.progress),
-        pool_(thread_count_,
-              [this](std::uint32_t idle_now) { publish_idle(idle_now); }),
-        guard_(options, std::chrono::steady_clock::now()),
-        guarded_(guard_.armed()),
-        frame_bytes_(estimated_frame_bytes(net)) {}
+  ParallelSearch(const tpn::TimePetriNet& net, const SchedulerOptions& options,
+                 const GoalPredicate& goal)
+      : shared_(net, options, goal, options.threads),
+        pool_(shared_.threads, [this](std::uint32_t idle) {
+          gauge(&obs::ProgressSink::idle_workers, idle);
+        }) {}
 
   SearchOutcome run();
 
  private:
-  struct Worker;  // defined below
-
-  // -- Work distribution ---------------------------------------------------
-
   /// Heap-allocates the item into the caller's own deque; ownership moves
   /// to whichever worker acquires it (or to the post-join drain).
   void push_work(std::uint32_t tid, WorkItem&& item) {
     pool_.push(tid, new WorkItem(std::move(item)));
+    gauge(&obs::ProgressSink::queue, pool_.pending());
   }
 
-  /// Cooperative stop: wakes every parked worker and makes in-flight ones
-  /// unwind at their next stop_ check. Items left in the deques are freed
-  /// by the drain in run().
-  void finish() {
-    stop_.store(true, std::memory_order_release);
-    pool_.shutdown();
+  /// Write-only progress gauge; never read back by the search.
+  void gauge(std::atomic<std::uint64_t> obs::ProgressSink::*field,
+             std::uint64_t value) noexcept {
+    if constexpr (obs::kTelemetryEnabled) {
+      if (shared_.options.progress != nullptr) {
+        (shared_.options.progress->*field)
+            .store(value, std::memory_order_relaxed);
+      }
+    }
   }
 
   [[nodiscard]] bool stopped() const {
     return stop_.load(std::memory_order_acquire);
   }
 
-  /// Records the first guard verdict to fire and stops the search. The
-  /// zero sentinel never collides with a real verdict: only the nonzero
-  /// kTimeLimit/kMemoryLimit/kCancelled values are ever stored here.
-  void trip_guard(SearchStatus status) {
-    std::uint8_t expected = 0;
-    guard_status_.compare_exchange_strong(expected,
-                                          static_cast<std::uint8_t>(status),
-                                          std::memory_order_relaxed);
-    finish();
+  /// Cooperative stop: parked workers wake, running ones unwind at their
+  /// next step. Items left in the deques are freed by the drain in run().
+  void finish() {
+    stop_.store(true, std::memory_order_release);
+    pool_.shutdown();
   }
 
-  // -- Per-worker search ---------------------------------------------------
-
-  struct Worker {
-    ParallelSearch* search;
-    std::uint32_t index;  ///< pool tid and visited-set epoch slot
-    Expander expander;
-    SearchStats stats;
-    /// Per-worker blame recorder, merged after the join exactly like
-    /// `stats` (plain integers, never read concurrently).
-    AttributionRecorder attribution;
-    tpn::StateClassifier::Scratch scratch;  ///< evaluate() buffers
-    /// Edge events of the admission in flight (one event, or a whole
-    /// contracted corridor). Reused across admit() calls.
-    std::vector<FiringEvent> admit_events;
-    std::vector<Frame> stack;
-    /// Events entering frames 1..n of `stack` (the seed frame has none):
-    /// local_path.size() == stack.size() - 1 whenever the stack is live.
-    Trace local_path;
-    std::vector<std::vector<Candidate>> pool;
-    // Observability counters (docs/observability.md). Plain integers on
-    // purpose: folded into WorkerTelemetry when the worker retires, never
-    // read concurrently. Steal/idle counts live in the pool's per-worker
-    // stats and are folded from there.
-    std::uint64_t donations = 0;
-    /// High-water marks of what this worker already fetch_add-ed into the
-    /// shared progress sink, so each publish pushes only the delta.
-    std::uint64_t published_transitions = 0;
-    std::uint64_t published_pruned = 0;
-
-    Worker(ParallelSearch* s, std::uint32_t tid)
-        : search(s),
-          index(tid),
-          expander(*s->net_, s->semantics_, *s->options_),
-          attribution(*s->net_, s->options_->collect_attribution) {}
-
-    std::vector<Candidate> pooled_vector() {
-      if (pool.empty()) {
-        return {};
+  /// Records an outcome that ends the search (goal, budget, guard).
+  void conclude(SearchStatus status, Trace trace = {}) {
+    {
+      std::lock_guard<std::mutex> lock(result_mu_);
+      if (rank(status) > rank(status_)) {
+        status_ = status;
+        winning_ = std::move(trace);
       }
-      std::vector<Candidate> v = std::move(pool.back());
-      pool.pop_back();
-      return v;
-    }
-    void retire(std::vector<Candidate>&& v) { pool.push_back(std::move(v)); }
-  };
-
-  // -- Progress publishing -------------------------------------------------
-  //
-  // Write-only relaxed stores into the shared ProgressSink; nothing here is
-  // ever read back by the search, so the verdict and counters stay
-  // bit-identical with or without a sink (docs/semantics.md §8).
-
-  void publish_idle(std::uint32_t idle_now) noexcept {
-    if constexpr (obs::kTelemetryEnabled) {
-      if (progress_ != nullptr) {
-        progress_->idle_workers.store(idle_now, std::memory_order_relaxed);
-      }
-    } else {
-      (void)idle_now;
-    }
-  }
-
-  /// Called on every (kPublishMask + 1)-th globally admitted state. Global
-  /// monotone counters (fired, pruned) are accumulated as per-worker
-  /// deltas; gauges (depth, queue) are plain last-writer-wins stores.
-  void publish_progress(Worker& w, std::uint64_t states_now,
-                        std::uint64_t depth_now) noexcept {
-    if constexpr (obs::kTelemetryEnabled) {
-      obs::ProgressSink& sink = *progress_;
-      sink.states.store(states_now, std::memory_order_relaxed);
-      const std::uint64_t fired = w.stats.transitions_fired;
-      const std::uint64_t pruned =
-          w.stats.pruned_deadline + w.stats.pruned_visited;
-      sink.transitions.fetch_add(fired - w.published_transitions,
-                                 std::memory_order_relaxed);
-      sink.pruned.fetch_add(pruned - w.published_pruned,
-                            std::memory_order_relaxed);
-      w.published_transitions = fired;
-      w.published_pruned = pruned;
-      sink.depth.store(depth_now, std::memory_order_relaxed);
-      sink.queue.store(pool_.pending(), std::memory_order_relaxed);
-    } else {
-      (void)w;
-      (void)states_now;
-      (void)depth_now;
-    }
-  }
-
-  [[nodiscard]] bool has_miss(const tpn::Marking& m) const {
-    for (PlaceId p : *miss_places_) {
-      if (m[p] > 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Declares the goal found: the winning trace is the item prefix, the
-  /// worker's local path up to the parent frame, and the in-flight edge.
-  void declare_goal(Worker& w, const WorkItem& item,
-                    std::size_t parent_path_len,
-                    const std::vector<FiringEvent>& edge) {
-    std::lock_guard<std::mutex> lock(result_mu_);
-    if (!found_) {
-      found_ = true;
-      winning_ = item.prefix;
-      winning_.insert(winning_.end(), w.local_path.begin(),
-                      w.local_path.begin() +
-                          static_cast<std::ptrdiff_t>(parent_path_len));
-      winning_.insert(winning_.end(), edge.begin(), edge.end());
     }
     finish();
-  }
-
-  /// Fires one candidate and runs it through the admission pipeline
-  /// (deadline-miss pruning, concurrent visited set, global state budget,
-  /// goal test). Returns the admitted child state, or std::nullopt when
-  /// the child was pruned *or* the search just ended (goal/limit — the
-  /// caller distinguishes via stopped()). `parent_path_len` is the
-  /// worker-local path length to `parent` (Frame::path_base); the edge's
-  /// events are appended to `w.admit_events` (cleared first). With state
-  /// classes on, the edge is the whole contracted corridor, `cands_out`
-  /// receives the admitted decision state's expansion, and the visited
-  /// key is the canonical class digest.
-  std::optional<State> admit(Worker& w, const State& parent, Candidate cand,
-                             const WorkItem& item,
-                             std::size_t parent_path_len,
-                             std::vector<Candidate>& cands_out) {
-    w.admit_events.clear();
-    auto guard_memory = [&] {
-      return visited_.memory_bytes() +
-             w.stack.size() * frame_bytes_ * thread_count_;
-    };
-    if (classes_on_) {
-      // Corridor chase (docs/search.md §3), mirroring the serial
-      // class-keyed loop: walk single-candidate successors inline until a
-      // decision state, a dead end, or a prune. Interior states are
-      // contains-checked but never inserted, so only decision states are
-      // admitted and counted. The contains() check is a racy snapshot —
-      // at worst two workers chase the same corridor and the insert()
-      // below still admits it exactly once.
-      State next = w.expander.fire(parent, cand);
-      ++w.stats.transitions_fired;
-      tpn::StateDigest key{};
-      bool capped = false;
-      for (;;) {
-        w.admit_events.push_back(FiringEvent{cand.fireable.transition,
-                                             cand.delay,
-                                             std::as_const(next).elapsed()});
-        if (guarded_) {
-          if (auto tripped =
-                  guard_.check(w.stats.transitions_fired, guard_memory)) {
-            trip_guard(*tripped);
-            return std::nullopt;
-          }
-        }
-        if (has_miss(std::as_const(next).marking())) {
-          ++w.stats.pruned_deadline;
-          w.attribution.record_deadline(std::as_const(next).marking());
-          return std::nullopt;
-        }
-        if ((*goal_)(std::as_const(next).marking())) {
-          declare_goal(w, item, parent_path_len, w.admit_events);
-          return std::nullopt;
-        }
-        if (const auto eval = classifier_.evaluate(next, semantics_,
-                                                   w.scratch);
-            eval.doomed) {
-          ++w.stats.pruned_doomed;
-          w.attribution.record_doomed(eval.doomed_watchdog,
-                                      std::as_const(next).marking());
-          return std::nullopt;
-        }
-        const auto cd = classifier_.canonical_digest(next, semantics_);
-        key = cd.digest;
-        capped = cd.capped;
-        w.expander.expand(next, cands_out);
-        if (cands_out.size() != 1 ||
-            w.admit_events.size() > kCorridorCap) {
-          break;  // decision state (or the corridor safety valve)
-        }
-        if (visited_.contains(key)) {
-          ++w.stats.pruned_visited;
-          return std::nullopt;
-        }
-        cand = cands_out[0];
-        next = w.expander.fire(next, cand);
-        ++w.stats.transitions_fired;
-      }
-      if (!visited_.insert(key, w.index)) {
-        ++w.stats.pruned_visited;
-        return std::nullopt;
-      }
-      if (capped) {
-        ++w.stats.classes_merged;
-      }
-      const std::uint64_t n =
-          states_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (progress_ != nullptr &&
-          (n & obs::ProgressSink::kPublishMask) == 0) {
-        publish_progress(w, n, item.prefix.size() + parent_path_len +
-                                   w.admit_events.size());
-      }
-      if (options_->max_states != 0 && n >= options_->max_states) {
-        limit_hit_.store(true, std::memory_order_relaxed);
-        finish();
-        return std::nullopt;
-      }
-      return next;
-    }
-
-    State next = w.expander.fire(parent, cand);
-    ++w.stats.transitions_fired;
-    if (guarded_) {
-      // Per-worker fired count drives the mask, so the wall clock keeps
-      // getting sampled through all-pruned stretches. The frame-stack
-      // term extrapolates this worker's stack across the pool — an
-      // estimate; the visited set (the dominant term) is exact.
-      if (auto tripped =
-              guard_.check(w.stats.transitions_fired, guard_memory)) {
-        trip_guard(*tripped);
-        return std::nullopt;
-      }
-    }
-    if (has_miss(std::as_const(next).marking())) {
-      ++w.stats.pruned_deadline;
-      w.attribution.record_deadline(std::as_const(next).marking());
-      return std::nullopt;
-    }
-    if (!visited_.insert(next.digest(), w.index)) {
-      ++w.stats.pruned_visited;
-      return std::nullopt;
-    }
-    const std::uint64_t n =
-        states_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (progress_ != nullptr &&
-        (n & obs::ProgressSink::kPublishMask) == 0) {
-      publish_progress(w, n, item.prefix.size() + parent_path_len + 1);
-    }
-    w.admit_events.push_back(FiringEvent{cand.fireable.transition,
-                                         cand.delay, next.elapsed()});
-    if ((*goal_)(std::as_const(next).marking())) {
-      declare_goal(w, item, parent_path_len, w.admit_events);
-      return std::nullopt;
-    }
-    if (options_->max_states != 0 && n >= options_->max_states) {
-      limit_hit_.store(true, std::memory_order_relaxed);
-      finish();
-      return std::nullopt;
-    }
-    return next;
   }
 
   /// Donates pending candidates from the *shallowest* unexhausted frame
-  /// into the worker's own deque while other workers are hungry — shallow
-  /// siblings root the largest unexplored subtrees, so sharing them keeps
-  /// the stolen work coarse. The push is an uncontended bottom append;
-  /// hungry peers take the donations from the top via steal-half.
-  void maybe_offload(Worker& w, const WorkItem& item) {
-    if (thread_count_ == 1) {
-      return;
-    }
-    const std::size_t hunger = thread_count_;
-    if (pool_.pending() >= hunger) {
+  /// into the worker's own deque (an uncontended bottom append) while
+  /// other workers are hungry: shallow siblings root the largest subtrees,
+  /// so stolen work stays coarse. Donations are admitted here, so the
+  /// stealer starts from an expanded frame.
+  void maybe_offload(SearchWorker& w, const WorkItem& item) {
+    const std::size_t hunger = shared_.threads;
+    if (hunger == 1 || pool_.pending() >= hunger) {
       return;
     }
     for (std::size_t i = 0; i < w.stack.size() && !stopped(); ++i) {
@@ -390,29 +110,23 @@ class ParallelSearch {
       // the top frame — a worker must not starve itself into a pop/push
       // cycle on its own donations.
       const bool top = i + 1 == w.stack.size();
+      const std::size_t path_len = frame.edge_at + frame.events;
       while (frame.next + (top ? 1 : 0) < frame.candidates.size() &&
              pool_.pending() < hunger) {
-        const Candidate cand = frame.candidates[frame.next++];
-        std::vector<Candidate> donated_cands = w.pooled_vector();
-        auto child = admit(w, frame.state, cand, item, frame.path_base,
-                           donated_cands);
-        w.retire(std::move(donated_cands));  // the stealer re-expands
-        if (!child.has_value()) {
-          if (stopped()) {
-            return;
-          }
+        WorkItem donated{Frame{{}, w.buffer()}, {}};
+        const Admit r = w.admit(frame, frame.candidates[frame.next++],
+                                w.stack.size(), donated.frame);
+        if (r == Admit::kAdmitted) {
+          donated.prefix = w.trace_to(item, path_len);
+          push_work(w.tid, std::move(donated));
+          ++w.donations;
           continue;
         }
-        WorkItem shared;
-        shared.state = std::move(*child);
-        shared.prefix = item.prefix;
-        shared.prefix.insert(shared.prefix.end(), w.local_path.begin(),
-                             w.local_path.begin() +
-                                 static_cast<std::ptrdiff_t>(frame.path_base));
-        shared.prefix.insert(shared.prefix.end(), w.admit_events.begin(),
-                             w.admit_events.end());
-        push_work(w.index, std::move(shared));
-        ++w.donations;
+        w.retire(std::move(donated.frame.candidates));
+        if (r == Admit::kFinal) {
+          conclude(w.status, w.trace_to(item, path_len));
+          return;
+        }
       }
       if (frame.next < frame.candidates.size()) {
         return;  // donated enough; deeper frames stay ours
@@ -420,172 +134,80 @@ class ParallelSearch {
     }
   }
 
-  /// Depth-first exploration of the subtree rooted at `item.state`.
-  void run_subtree(Worker& w, WorkItem item) {
-    w.stack.clear();
-    w.local_path.clear();
-
-    Frame root;
-    root.state = std::move(item.state);
-    root.candidates = w.pooled_vector();
-    w.expander.expand(root.state, root.candidates);
-    w.stack.push_back(std::move(root));
-
-    while (!w.stack.empty()) {
-      if (stopped()) {
-        return;
-      }
-      maybe_offload(w, item);
-      if (stopped()) {
-        return;
-      }
-      Frame& frame = w.stack.back();
-      w.stats.max_depth = std::max<std::uint64_t>(
-          w.stats.max_depth,
-          item.prefix.size() + w.local_path.size() + 1);
-      if (frame.next >= frame.candidates.size()) {
-        const std::uint32_t events = frame.events;
-        w.retire(std::move(frame.candidates));
-        w.stack.pop_back();
-        for (std::uint32_t i = 0; i < events; ++i) {
-          w.local_path.pop_back();
-        }
-        ++w.stats.backtracks;
-        continue;
-      }
-      const Candidate cand = frame.candidates[frame.next++];
-      std::vector<Candidate> child_cands = w.pooled_vector();
-      auto child = admit(w, frame.state, cand, item, frame.path_base,
-                         child_cands);
-      if (!child.has_value()) {
-        w.retire(std::move(child_cands));
-        continue;  // pruned, or the search ended (checked at loop head)
-      }
-      w.local_path.insert(w.local_path.end(), w.admit_events.begin(),
-                          w.admit_events.end());
-      Frame next_frame;
-      next_frame.state = std::move(*child);
-      next_frame.candidates = std::move(child_cands);
-      if (!classes_on_) {
-        // The classes path already expanded the decision state during the
-        // corridor chase; the plain path expands here, as before.
-        w.expander.expand(next_frame.state, next_frame.candidates);
-      }
-      next_frame.path_base = w.local_path.size();
-      next_frame.events =
-          static_cast<std::uint32_t>(w.admit_events.size());
-      w.stack.push_back(std::move(next_frame));
-    }
-  }
-
-  void worker_main(std::uint32_t index, WorkerTelemetry& out,
-                   AttributionCounters& attribution_out) {
-    Worker w(this, index);
-    obs::Span span(options_->tracer, "search-worker", "sched");
-    span.set_args("{\"worker\":" + std::to_string(index) + "}");
+  void worker_main(SearchWorker& w) {
+    obs::Span span(shared_.options.tracer, "search-worker", "sched");
+    span.set_args("{\"worker\":" + std::to_string(w.tid) + "}");
     // Bounded park only when a guard is armed, so a parked worker still
     // notices a SIGINT or an expired wall limit even when no peer ever
     // wakes it; unguarded searches park indefinitely.
-    const auto poll = std::chrono::milliseconds(guarded_ ? 20 : 0);
+    const auto poll = std::chrono::milliseconds(
+        shared_.guard.armed() ? 20 : 0);
+    auto between = [&](const WorkItem& item) {
+      if (stopped()) {
+        return false;
+      }
+      maybe_offload(w, item);
+      return !stopped();
+    };
+    auto search = [&](WorkItem& item) {
+      if (auto status = w.run_stack(item, between)) {
+        conclude(*status, std::move(w.trace));
+      }
+    };
     using Pool = WorkStealingPool<WorkItem*>;
     try {
+      if (w.tid == 0) {
+        // Worker 0 runs s0 itself; its peers park until it donates.
+        WorkItem root;
+        if (w.admit_root(root.frame) == Admit::kFinal) {
+          conclude(SearchStatus::kFeasible);
+        } else {
+          search(root);
+        }
+      }
       for (;;) {
         WorkItem* raw = nullptr;
-        const Pool::Acquire r = pool_.acquire(index, raw, poll);
+        const Pool::Acquire r = pool_.acquire(w.tid, raw, poll);
         if (r == Pool::Acquire::kDone) {
           break;
         }
         if (r == Pool::Acquire::kTimeout) {
-          if (auto tripped = guard_.check_now(
-                  [&] { return visited_.memory_bytes(); })) {
-            trip_guard(*tripped);
+          if (auto tripped = shared_.guard.check_now(
+                  [&] { return shared_.visited->memory_bytes(); })) {
+            conclude(*tripped);
           }
           continue;
         }
         std::unique_ptr<WorkItem> item(raw);
-        run_subtree(w, std::move(*item));
+        search(*item);
       }
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(result_mu_);
-        if (!failure_) {
-          failure_ = std::current_exception();
-        }
+      std::lock_guard<std::mutex> lock(result_mu_);
+      if (!failure_) {
+        failure_ = std::current_exception();
       }
-      finish();
     }
-    out.worker = index;
-    out.expansions = w.expander.counters().expansions;
-    out.donations = w.donations;
-    out.steals = pool_.stats(index).steals;
-    out.idle_transitions = pool_.stats(index).idle_transitions;
-    out.reduction_singletons = w.expander.counters().reduction_singletons;
-    w.stats.pruned_priority = w.expander.counters().pruned_priority;
-    out.stats = w.stats;
-    attribution_out = w.attribution.take();
+    finish();  // idempotent; after a failure it stops the peers
   }
 
-  const tpn::TimePetriNet* net_;
-  const SchedulerOptions* options_;
-  const GoalPredicate* goal_;
-  const std::vector<PlaceId>* miss_places_;
-  tpn::Semantics semantics_;
-  /// Shared read-only after construction; evaluate() scratch is per-worker.
-  tpn::StateClassifier classifier_;
-  bool classes_on_;
-  std::uint32_t thread_count_;
-  CasVisitedSet visited_;
-  obs::ProgressSink* progress_;
+  SearchShared shared_;
   WorkStealingPool<WorkItem*> pool_;
-
   std::atomic<bool> stop_{false};
-  std::atomic<bool> limit_hit_{false};
-  std::atomic<std::uint64_t> states_{0};
-  /// First resource-guard verdict (as SearchStatus), 0 = none tripped.
-  std::atomic<std::uint8_t> guard_status_{0};
-  ResourceGuard guard_;
-  bool guarded_;
-  std::uint64_t frame_bytes_;
 
   std::mutex result_mu_;
-  bool found_ = false;
-  Trace winning_;
-  std::exception_ptr failure_;
+  SearchStatus status_ = SearchStatus::kInfeasible;  ///< guarded by result_mu_
+  Trace winning_;                                    ///< guarded by result_mu_
+  std::exception_ptr failure_;                       ///< guarded by result_mu_
 };
 
 SearchOutcome ParallelSearch::run() {
-  const auto t0 = std::chrono::steady_clock::now();
-  SearchOutcome out;
-
-  State s0 = State::initial(*net_);
-  visited_.insert(classes_on_
-                      ? classifier_.canonical_digest(s0, semantics_).digest
-                      : s0.digest(),
-                  0);
-  states_.store(1, std::memory_order_relaxed);
-
-  if ((*goal_)(std::as_const(s0).marking())) {
-    out.status = SearchStatus::kFeasible;
-    out.stats.states_visited = 1;
-    out.stats.peak_visited_bytes = visited_.memory_bytes();
-    out.stats.elapsed_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    return out;
-  }
-
-  // Seed worker 0's deque before the spawns; the thread-creation edge
-  // makes the owner-side push visible to everyone.
-  push_work(0, WorkItem{std::move(s0), Trace{}});
-
-  std::vector<WorkerTelemetry> per_worker(thread_count_);
-  std::vector<AttributionCounters> per_attribution(thread_count_);
+  std::deque<SearchWorker> workers;
+  std::vector<SearchWorker*> views;
   std::vector<std::thread> threads;
-  threads.reserve(thread_count_);
-  for (std::uint32_t i = 0; i < thread_count_; ++i) {
-    threads.emplace_back([this, &per_worker, &per_attribution, i] {
-      worker_main(i, per_worker[i], per_attribution[i]);
-    });
+  for (std::uint32_t i = 0; i < shared_.threads; ++i) {
+    SearchWorker& w = workers.emplace_back(shared_, i);
+    views.push_back(&w);
+    threads.emplace_back([this, &w] { worker_main(w); });
   }
   for (std::thread& t : threads) {
     t.join();
@@ -596,107 +218,47 @@ SearchOutcome ParallelSearch::run() {
     std::rethrow_exception(failure_);
   }
 
-  SearchStats& stats = out.stats;
-  stats.states_visited = states_.load(std::memory_order_relaxed);
-  for (const WorkerTelemetry& wt : per_worker) {
-    const SearchStats& ws = wt.stats;
-    stats.transitions_fired += ws.transitions_fired;
-    stats.backtracks += ws.backtracks;
-    stats.pruned_deadline += ws.pruned_deadline;
-    stats.pruned_visited += ws.pruned_visited;
-    stats.pruned_priority += ws.pruned_priority;
-    stats.pruned_doomed += ws.pruned_doomed;
-    stats.classes_merged += ws.classes_merged;
-    stats.max_depth = std::max(stats.max_depth, ws.max_depth);
-  }
-  // Per-worker blame counters merge like the stats above: element-wise
-  // sums of deterministic per-edge counts (docs/explain.md §4).
-  for (AttributionCounters& wa : per_attribution) {
-    out.attribution.merge(wa);
-  }
-  stats.peak_visited_bytes = visited_.memory_bytes();
-  if (progress_ != nullptr) {
-    // Final unmasked publish with the folded totals (see serial engine).
-    progress_->publish(stats.states_visited, stats.transitions_fired,
-                       stats.pruned_deadline + stats.pruned_visited,
-                       stats.max_depth);
-  }
-
-  // End-of-search collection only: by here every worker has joined, so the
-  // breakdowns are exact and gathering them cannot perturb the search.
-  if (options_->collect_telemetry) {
-    out.telemetry.collected = true;
-    for (const WorkerTelemetry& wt : per_worker) {
-      out.telemetry.reduction_singletons += wt.reduction_singletons;
-    }
-    out.telemetry.workers = std::move(per_worker);
-    out.telemetry.shards = visited_.shard_stats();
-  }
-
-  // A goal found concurrently with the state budget or a resource guard
-  // running out counts as feasible — same preference order as the serial
-  // engine, which tests the goal before the limits. Among the losers, a
-  // guard verdict (time/memory/cancel) outranks the state budget: it
-  // names the ceiling the operator actually configured tightest.
-  const std::uint8_t tripped =
-      guard_status_.load(std::memory_order_relaxed);
-  if (found_) {
-    out.status = SearchStatus::kFeasible;
+  SearchOutcome out;
+  out.status = status_;
+  if (out.status == SearchStatus::kFeasible) {
     out.trace = std::move(winning_);
-  } else if (tripped != 0) {
-    out.status = static_cast<SearchStatus>(tripped);
-  } else if (limit_hit_.load(std::memory_order_relaxed)) {
-    out.status = SearchStatus::kLimitReached;
-  } else {
-    out.status = SearchStatus::kInfeasible;
   }
-  stats.elapsed_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+  shared_.fold(out, views, shared_.visited->memory_bytes());
+  for (std::size_t i = 0; i < out.telemetry.workers.size(); ++i) {
+    out.telemetry.workers[i].steals = pool_.stats(i).steals;
+    out.telemetry.workers[i].idle_transitions =
+        pool_.stats(i).idle_transitions;
+  }
   return out;
-}
-
-/// Serial re-derivation for the deterministic toggle.
-[[nodiscard]] SearchOutcome serial_search(const tpn::TimePetriNet& net,
-                                          SchedulerOptions options,
-                                          const GoalPredicate& goal) {
-  options.threads = 0;
-  DfsScheduler scheduler(net, options);
-  scheduler.set_goal(goal);
-  return scheduler.search();
 }
 
 }  // namespace
 
 SearchOutcome parallel_search(const tpn::TimePetriNet& net,
                               const SchedulerOptions& options,
-                              const GoalPredicate& goal,
-                              const std::vector<PlaceId>& miss_places) {
+                              const GoalPredicate& goal) {
   EZRT_CHECK(options.threads >= 1,
              "parallel_search requires options.threads >= 1");
   EZRT_CHECK(options.objective == Objective::kFirstFeasible,
              "parallel_search supports the kFirstFeasible objective only");
 
-  SearchOutcome out = ParallelSearch(net, options, goal, miss_places).run();
+  SearchOutcome out = ParallelSearch(net, options, goal).run();
 
   if (options.deterministic && (out.status == SearchStatus::kFeasible ||
                                 out.status == SearchStatus::kLimitReached)) {
-    // A parallel kInfeasible verdict means the pruned graph was exhausted
-    // below the state budget — every interleaving reproduces it, so it
-    // passes through (where exhaustive exploration makes parallelism
-    // pay). Anything the parallel engine won a race for is re-derived:
-    // the winning trace is first-past-the-post, and with a bounded
-    // budget, *which* of feasible/limit-reached wins depends on whether
-    // some worker reached M_F before the global counter hit the budget.
-    // The serial outcome is canonical and returned as-is, whichever
-    // verdict it lands on. Guard verdicts (time/memory/cancel) already
-    // passed through above — they are timing-dependent by nature.
-    //
-    // The two phases are reported separately (parallel_verdict_ms vs the
-    // serial phase's own stats.elapsed_ms) so the cost of the determinism
-    // toggle is visible instead of folded into one opaque number.
+    // A parallel kInfeasible verdict (the pruned graph exhausted below the
+    // budget) is the same in every interleaving and passes through, as do
+    // the timing-dependent guard verdicts. A feasible trace is
+    // first-past-the-post, and under a bounded budget feasible-vs-limit is
+    // a race, so those are re-derived serially: the serial outcome is
+    // canonical. The phases are reported separately (parallel_verdict_ms
+    // vs the serial stats.elapsed_ms) so the toggle's cost stays visible.
     const double verdict_ms = out.stats.elapsed_ms;
-    out = serial_search(net, options, goal);
+    SchedulerOptions serial = options;
+    serial.threads = 0;
+    DfsScheduler scheduler(net, serial);
+    scheduler.set_goal(goal);
+    out = scheduler.search();
     out.parallel_verdict_ms = verdict_ms;
   }
   return out;

@@ -1,10 +1,12 @@
 // Parallel TLTS search (docs/semantics.md §8).
 //
 // A work-sharing depth-first exploration of the same pruned successor
-// graph the serial engine walks (sched/expansion.hpp): worker threads
-// expand disjoint subtrees, admission into the search is arbitrated by a
-// sharded concurrent visited set keyed on the 128-bit Zobrist state digest
-// (sched/visited_set.hpp), and the first worker to reach the final marking
+// graph the serial engine walks: each worker runs the serial DFS's stack
+// loop and admission step (sched/search_kernel.hpp) over disjoint
+// subtrees, admission is arbitrated by the sharded lock-free visited set
+// keyed on the 128-bit Zobrist state digest (sched/visited_set.hpp),
+// donation and termination go through per-worker Chase-Lev deques
+// (sched/work_stealing.hpp), and the first worker to reach the final marking
 // stops the others cooperatively through an atomic flag, returning its
 // winning firing schedule. Downstream stages (schedule-table extraction,
 // trace replay, code generation) consume the returned trace exactly as
@@ -23,18 +25,15 @@
 // and exempt (docs/robustness.md).
 #pragma once
 
-#include <vector>
-
 #include "sched/dfs.hpp"
 
 namespace ezrt::sched {
 
 /// Runs the multi-threaded search. Preconditions (checked): options.threads
 /// >= 1 and options.objective == kFirstFeasible. `goal` must be safe to
-/// call concurrently (a pure function of the marking). `miss_places` is
-/// the precollected undesirable-place set, shared with the serial engine.
-[[nodiscard]] SearchOutcome parallel_search(
-    const tpn::TimePetriNet& net, const SchedulerOptions& options,
-    const GoalPredicate& goal, const std::vector<PlaceId>& miss_places);
+/// call concurrently (a pure function of the marking).
+[[nodiscard]] SearchOutcome parallel_search(const tpn::TimePetriNet& net,
+                                          const SchedulerOptions& options,
+                                          const GoalPredicate& goal);
 
 }  // namespace ezrt::sched

@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <deque>
-#include <unordered_set>
+#include <utility>
 
 #include "base/assert.hpp"
-#include "base/cancel.hpp"
-#include "obs/progress.hpp"
+#include "sched/guards.hpp"
+#include "sched/search_kernel.hpp"
 
 namespace ezrt::sched {
 
@@ -26,70 +26,46 @@ const char* to_string(ReachabilityStop stop) {
   return "unknown";
 }
 
-namespace {
-
-/// 128-bit fingerprints as in the DFS visited set.
-struct Fingerprint {
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  friend bool operator==(Fingerprint, Fingerprint) = default;
-};
-
-struct FingerprintHash {
-  std::size_t operator()(Fingerprint f) const noexcept { return f.a; }
-};
-
-[[nodiscard]] Fingerprint fingerprint(const tpn::State& s) {
-  Fingerprint f;
-  f.a = s.hash();
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  h = hash_span<std::uint32_t>(s.marking().tokens(), h);
-  for (std::size_t i = 0; i < s.clock_count(); ++i) {
-    h = hash_mix(h, s.clock(TransitionId(static_cast<std::uint32_t>(i))));
-  }
-  f.b = h;
-  return f;
-}
-
-}  // namespace
-
 ReachabilityResult explore(const tpn::TimePetriNet& net,
                            const ReachabilityOptions& options) {
   EZRT_CHECK(net.validated(), "explore requires a validated net");
   const tpn::Semantics semantics(net);
   ReachabilityResult result;
 
-  // Same guard surface as the search engines (docs/robustness.md), with
-  // the same masking: cancellation each fired transition, wall clock
-  // every 256, the memory estimate every 1024.
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline =
-      t0 + std::chrono::milliseconds(options.wall_limit_ms);
-  const std::uint64_t state_bytes =
-      64 + net.place_count() * sizeof(std::uint32_t) +
-      net.transition_count() * sizeof(Time);
-
-  std::unordered_set<Fingerprint, FingerprintHash> visited;
+  // The search engines' guard, table and key, built from the same ceiling
+  // values: the key is the Zobrist digest Semantics::fire maintains.
+  const ResourceGuard guard(
+      {.wall_limit_ms = options.wall_limit_ms,
+       .memory_limit_bytes = options.memory_limit_bytes,
+       .cancel = options.cancel},
+      std::chrono::steady_clock::now());
+  const std::uint64_t state_bytes = estimated_frame_bytes(net);
+  CasVisitedSet visited(1, 1);
   std::deque<tpn::State> frontier;
 
-  // Masked publish cadence as in the search engines; BFS has no notion of
-  // prunes, so the duplicate-hit count stands in, and the frontier size
-  // feeds both the depth and queue gauges.
+  // BFS has no notion of prunes, so the duplicate-hit count stands in,
+  // and the frontier size feeds both the depth and queue gauges.
   std::uint64_t duplicates = 0;
-  auto publish = [&](bool force) {
-    if (options.progress == nullptr) {
-      return;
+  ProgressCursor progress{options.progress};
+  if (options.progress != nullptr) {
+    options.progress->publish(0, 0, 0, 0);  // the cursor adds growth
+  }
+  auto publish_queue = [&] {
+    if constexpr (obs::kTelemetryEnabled) {
+      options.progress->queue.store(frontier.size(),
+                                    std::memory_order_relaxed);
     }
-    if (force ||
-        (result.states_explored & obs::ProgressSink::kPublishMask) == 0) {
+  };
+  auto stop = [&](ReachabilityStop why) {
+    result.stop = why;
+    result.complete = why == ReachabilityStop::kComplete;
+    if (options.progress != nullptr) {
       options.progress->publish(result.states_explored,
                                 result.transitions_fired, duplicates,
                                 frontier.size());
-      if constexpr (obs::kTelemetryEnabled) {
-        options.progress->queue.store(frontier.size(),
-                                      std::memory_order_relaxed);
-      }
+      publish_queue();
     }
+    return result;
   };
 
   auto observe = [&](const tpn::State& s) {
@@ -102,7 +78,7 @@ ReachabilityResult explore(const tpn::TimePetriNet& net,
   };
 
   tpn::State s0 = tpn::State::initial(net);
-  visited.insert(fingerprint(s0));
+  visited.insert(s0.digest(), 0);
   observe(s0);
   frontier.push_back(std::move(s0));
   result.states_explored = 1;
@@ -125,37 +101,25 @@ ReachabilityResult explore(const tpn::TimePetriNet& net,
     for (const tpn::FireableTransition& f : fireable) {
       tpn::State next = semantics.fire(s, f.transition, f.earliest);
       ++result.transitions_fired;
-      if (options.cancel != nullptr && options.cancel->requested()) {
-        result.stop = ReachabilityStop::kCancelled;
-        publish(true);
-        return result;
+      if (const auto tripped = guard.check(result.transitions_fired, [&] {
+            return visited.memory_bytes() + frontier.size() * state_bytes;
+          })) {
+        return stop(*tripped == SearchStatus::kCancelled
+                        ? ReachabilityStop::kCancelled
+                    : *tripped == SearchStatus::kTimeLimit
+                        ? ReachabilityStop::kTimeLimit
+                        : ReachabilityStop::kMemoryLimit);
       }
-      if (options.wall_limit_ms != 0 &&
-          (result.transitions_fired & 255) == 0 &&
-          std::chrono::steady_clock::now() >= deadline) {
-        result.stop = ReachabilityStop::kTimeLimit;
-        publish(true);
-        return result;
-      }
-      if (options.memory_limit_bytes != 0 &&
-          (result.transitions_fired & 1023) == 0) {
-        const std::uint64_t bytes =
-            visited.bucket_count() * sizeof(void*) +
-            visited.size() * (sizeof(Fingerprint) + sizeof(void*)) +
-            frontier.size() * state_bytes;
-        if (bytes > options.memory_limit_bytes) {
-          result.stop = ReachabilityStop::kMemoryLimit;
-          publish(true);
-          return result;
-        }
-      }
-      if (!visited.insert(fingerprint(next)).second) {
+      if (!visited.insert(std::as_const(next).digest(), 0)) {
         ++duplicates;
         continue;
       }
       ++result.states_explored;
       observe(next);
-      publish(false);
+      if (progress.publish(result.states_explored, result.transitions_fired,
+                           duplicates, frontier.size())) {
+        publish_queue();
+      }
       if (tpn::has_deadline_miss(net, next.marking())) {
         // Observed but not expanded, mirroring the scheduler's pruning.
         result.miss_reachable = true;
@@ -163,19 +127,12 @@ ReachabilityResult explore(const tpn::TimePetriNet& net,
       }
       if (options.max_states != 0 &&
           result.states_explored >= options.max_states) {
-        result.complete = false;
-        result.stop = ReachabilityStop::kStateBudget;
-        publish(true);
-        return result;
+        return stop(ReachabilityStop::kStateBudget);
       }
       frontier.push_back(std::move(next));
     }
   }
-
-  result.complete = true;
-  result.stop = ReachabilityStop::kComplete;
-  publish(true);
-  return result;
+  return stop(ReachabilityStop::kComplete);
 }
 
 }  // namespace ezrt::sched

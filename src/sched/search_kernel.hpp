@@ -1,0 +1,266 @@
+// The admission step every first-feasible search engine shares
+// (docs/search.md, "Admission step and frontiers"): the work done on each
+// fired successor before it joins the frontier,
+//
+//   fire -> guard -> miss -> [class keys: goal -> doom -> key -> corridor]
+//        -> visited insert -> count + progress -> [concrete keys: goal]
+//        -> state budget -> expand
+//
+// is SearchWorker::admit. An engine is only the frontier that picks which
+// admitted state expands next: a stack (serial DFS, and each parallel
+// worker with a pool around it), a heap (best-first) or a level vector
+// (beam). The order depends only on the key mode, never on the engine, so
+// counts agree across engines. Every engine keys one CasVisitedSet: the
+// serial ones with one shard and one thread slot, the parallel engine
+// sharded per thread.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "obs/progress.hpp"
+#include "sched/dfs.hpp"
+#include "sched/expansion.hpp"
+#include "sched/guards.hpp"
+#include "sched/visited_set.hpp"
+#include "tpn/state_class.hpp"
+
+namespace ezrt::sched {
+
+/// Forced-corridor step ceiling per admitted state. A corridor that spins
+/// past it (a zero-delay forced cycle in a hand-built net) admits the
+/// current interior as a decision state, so the visited set regains
+/// termination; builder-produced nets never get near it.
+inline constexpr std::uint32_t kCorridorCap = 1u << 16;
+
+/// One publisher's view of a progress sink (obs/progress.hpp): every
+/// (kPublishMask + 1)-th admitted state it stores the gauges and adds the
+/// counters' growth since its last publish, so the workers of one search
+/// can feed one sink. Write-only, so statistics never depend on a sink.
+struct ProgressCursor {
+  obs::ProgressSink* sink = nullptr;
+  std::uint64_t fired = 0;
+  std::uint64_t pruned = 0;
+
+  /// Returns true when this call published.
+  bool publish(std::uint64_t states, std::uint64_t fired_now,
+               std::uint64_t pruned_now, std::uint64_t depth) {
+    if (sink == nullptr || (states & obs::ProgressSink::kPublishMask) != 0) {
+      return false;
+    }
+    if constexpr (obs::kTelemetryEnabled) {
+      sink->states.store(states, std::memory_order_relaxed);
+      sink->transitions.fetch_add(fired_now - fired,
+                                  std::memory_order_relaxed);
+      sink->pruned.fetch_add(pruned_now - pruned, std::memory_order_relaxed);
+      sink->depth.store(depth, std::memory_order_relaxed);
+    }
+    fired = fired_now;
+    pruned = pruned_now;
+    return true;
+  }
+};
+
+/// A frontier entry: an admitted state and its expansion.
+struct Frame {
+  tpn::State state;
+  std::vector<Candidate> candidates;
+  std::size_t next = 0;      ///< next candidate to fire (stack frontier)
+  std::size_t edge_at = 0;   ///< where the entering events start
+  std::uint32_t events = 0;  ///< entering events: one, or a corridor
+  std::uint32_t parent = 0;  ///< arena index of the parent (heap, level)
+  std::uint64_t depth = 1;   ///< admitted states from s0 through this one
+};
+
+/// A subtree root for run_stack: an admitted frame and the firing path
+/// from s0 that reached it.
+struct WorkItem {
+  Frame frame;
+  Trace prefix;
+};
+
+enum class Admit : std::uint8_t {
+  kPruned,    ///< the successor was cut; keep searching
+  kAdmitted,  ///< the child frame joins the frontier
+  kFinal,     ///< goal, state budget or guard: SearchWorker::status says
+};
+
+class SearchWorker;
+
+/// What the workers of one search share: read-only after construction
+/// except the visited table and the admitted-state counter.
+class SearchShared {
+ public:
+  /// `threads` is SchedulerOptions::threads for the parallel engine and 0
+  /// for the serial ones, which get one shard and one thread slot.
+  SearchShared(const tpn::TimePetriNet& net, const SchedulerOptions& options,
+               const GoalPredicate& goal, std::uint32_t threads);
+
+  [[nodiscard]] bool has_miss(const tpn::Marking& m) const {
+    return std::any_of(miss_places_.begin(), miss_places_.end(),
+                       [&](PlaceId p) { return m[p] > 0; });
+  }
+
+  /// Folds the workers' statistics, attribution and telemetry into `out`
+  /// with `table_bytes` as the table footprint, stamps the wall clock and
+  /// publishes the exact totals. Call after the workers stopped.
+  void fold(SearchOutcome& out, std::span<SearchWorker* const> workers,
+            std::uint64_t table_bytes) const;
+
+  const tpn::TimePetriNet& net;
+  const SchedulerOptions& options;
+  const GoalPredicate& goal;
+  const tpn::Semantics semantics;
+  const tpn::StateClassifier classifier;
+  const bool classes_on;
+  const std::uint32_t threads;
+  const std::chrono::steady_clock::time_point t0;
+  const ResourceGuard guard;
+  /// One live frame in every thread: the memory guard extrapolates a
+  /// worker's frontier across the pool (the table itself is exact).
+  const std::uint64_t frame_bytes;
+  std::optional<CasVisitedSet> visited;  ///< re-emplaced per beam pass
+  std::atomic<std::uint64_t> states{0};  ///< admitted, across workers
+
+ private:
+  std::vector<PlaceId> miss_places_;
+};
+
+/// One thread's share of a search: its expander, counters and scratch.
+class alignas(64) SearchWorker {
+ public:
+  /// `heuristic` makes every admitted state carry its classifier
+  /// evaluation in `eval` (the best-first and beam ordering key).
+  SearchWorker(SearchShared& shared, std::uint32_t tid,
+               bool heuristic = false);
+  SearchWorker(const SearchWorker&) = delete;
+  SearchWorker& operator=(const SearchWorker&) = delete;
+
+  /// Admits s0 into `root`; kFinal when s0 is already the goal.
+  Admit admit_root(Frame& root);
+
+  /// The admission step: fires `cand` from `parent` and, unless that is
+  /// pruned or ends the search, fills `child`'s state, expansion and
+  /// depth. The entering events are left in `edge` for the frontier to
+  /// place. `frames` is the live frontier size, for the memory guard.
+  Admit admit(const Frame& parent, Candidate cand, std::size_t frames,
+              Frame& child);
+
+  /// Depth-first search of the subtree rooted at `item`; `between(item)`
+  /// runs before every step and false abandons the subtree. Returns the
+  /// status of a step that ended the search (`trace` holds a kFeasible
+  /// schedule), or nullopt once the subtree is exhausted or abandoned.
+  template <typename Between>
+  std::optional<SearchStatus> run_stack(WorkItem& item, Between&& between);
+
+  /// item.prefix + the first `path_len` path events + `edge`.
+  [[nodiscard]] Trace trace_to(const WorkItem& item,
+                               std::size_t path_len) const {
+    Trace t = item.prefix;
+    t.insert(t.end(), path.begin(),
+             path.begin() + static_cast<std::ptrdiff_t>(path_len));
+    t.insert(t.end(), edge.begin(), edge.end());
+    return t;
+  }
+
+  /// Masked resource-guard poll, ticked by this worker's fired count.
+  template <typename MemoryFn>
+  [[nodiscard]] std::optional<SearchStatus> poll_guard(MemoryFn&& memory) {
+    if (!guarded_) {
+      return std::nullopt;
+    }
+    return shared.guard.check(stats.transitions_fired, memory);
+  }
+
+  void publish(std::uint64_t states, std::uint64_t depth) {
+    progress_.publish(states, stats.transitions_fired,
+                      stats.pruned_deadline + stats.pruned_visited, depth);
+  }
+
+  /// Candidate buffers are recycled so expansion stops allocating once
+  /// the search reaches steady state.
+  std::vector<Candidate> buffer() {
+    std::vector<Candidate> v;
+    if (!pool_.empty()) {
+      v = std::move(pool_.back());
+      pool_.pop_back();
+    }
+    return v;
+  }
+  void retire(std::vector<Candidate>&& v) { pool_.push_back(std::move(v)); }
+
+  SearchShared& shared;
+  const std::uint32_t tid;
+  Expander expander;
+  SearchStats stats;
+  AttributionRecorder attribution;  ///< folded like `stats`
+  tpn::StateClassifier::Scratch scratch;
+  /// The last admitted state's evaluation (with `heuristic`, or with
+  /// class keys, which evaluate every chased state for the doom test).
+  tpn::StateClassifier::Eval eval;
+  std::vector<FiringEvent> edge;  ///< events entering the last admission
+  std::vector<Frame> stack;       ///< run_stack's frontier
+  Trace path;                     ///< events entering stack frames 1..n
+  Trace trace;                    ///< the schedule run_stack found
+  SearchStatus status = SearchStatus::kInfeasible;  ///< of the last kFinal
+  std::uint64_t donations = 0;  ///< items shared by the parallel engine
+
+ private:
+  Admit conclude(SearchStatus s) {
+    status = s;
+    return Admit::kFinal;
+  }
+
+  const bool heuristic_;
+  const bool guarded_;
+  ProgressCursor progress_;
+  std::vector<std::vector<Candidate>> pool_;
+};
+
+template <typename Between>
+std::optional<SearchStatus> SearchWorker::run_stack(WorkItem& item,
+                                                    Between&& between) {
+  stack.clear();
+  path.clear();
+  stack.push_back(std::move(item.frame));
+  while (!stack.empty()) {
+    if (!between(item)) {
+      return std::nullopt;
+    }
+    Frame& top = stack.back();
+    if (top.next >= top.candidates.size()) {
+      path.resize(top.edge_at);
+      retire(std::move(top.candidates));
+      stack.pop_back();
+      ++stats.backtracks;
+      continue;
+    }
+    Frame child{{}, buffer()};
+    const Admit r =
+        admit(top, top.candidates[top.next++], stack.size(), child);
+    if (r == Admit::kAdmitted) {
+      child.edge_at = path.size();
+      child.events = static_cast<std::uint32_t>(edge.size());
+      path.insert(path.end(), edge.begin(), edge.end());
+      stack.push_back(std::move(child));
+      continue;
+    }
+    retire(std::move(child.candidates));
+    if (r == Admit::kFinal) {
+      if (status == SearchStatus::kFeasible) {
+        trace = trace_to(item, path.size());
+      }
+      return status;
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace ezrt::sched

@@ -34,7 +34,9 @@ struct SearchStats {
   /// Fireable transitions dropped by the FT_P priority filter
   /// (tpn::apply_priority_filter) before they became candidates.
   std::uint64_t pruned_priority = 0;
-  std::uint64_t max_depth = 0;        ///< deepest DFS stack
+  /// DFS stack height in every engine: the admitted states on the deepest
+  /// expanded path, s0 included (docs/search.md).
+  std::uint64_t max_depth = 0;
   /// Successors pruned by the state-class doom certificate: every
   /// continuation provably marks a miss place (docs/search.md §3).
   std::uint64_t pruned_doomed = 0;

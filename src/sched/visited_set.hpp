@@ -1,22 +1,16 @@
-// Concurrent visited sets over 128-bit state fingerprints.
+// Concurrent visited set over 128-bit state digests.
 //
-// The parallel TLTS search (docs/semantics.md §8) needs one shared "have we
-// seen this state" structure that many workers hit on every admitted state.
-// Two implementations share the contract (exactly-once insert, snapshot
-// contains, exact-after-quiescence size, ShardTelemetry stats):
+// Every search engine keys one "have we seen this state" table on each
+// admitted state (sched/search_kernel.hpp). CasVisitedSet shards the
+// lock-free two-word-publish table (sched/lockfree_table.hpp): the hot
+// insert path is a CAS claim plus a release publish, probes are
+// lock-free, and growth is epoch-based per shard (docs/concurrency.md).
+// The serial engines use one shard and one thread slot; the parallel
+// engine shards it per worker.
 //
-//  * `ShardedVisitedSet` — the original mutex-per-shard open-addressing
-//    tables. Kept as the reference baseline: the differential stress tests
-//    and the BM_VisitedSet_Mutex benchmark measure the CAS path against it.
-//  * `CasVisitedSet` — shards of the lock-free two-word-publish table
-//    (sched/lockfree_table.hpp). This is what the parallel engine uses:
-//    the hot insert path is a CAS claim plus a release publish, probes are
-//    lock-free, and growth is epoch-based per shard (docs/concurrency.md).
-//
-// Storing fingerprints instead of full states keeps memory at 16 bytes per
+// Storing digests instead of full states keeps memory at 16 bytes per
 // state; the collision probability over two independent 64-bit hashes is
-// negligible against the state counts reachable in practice (same argument
-// as the serial engine's visited set).
+// negligible against the state counts reachable in practice.
 #pragma once
 
 #include <algorithm>
@@ -32,67 +26,6 @@
 #include "tpn/state.hpp"
 
 namespace ezrt::sched {
-
-class ShardedVisitedSet {
- public:
-  /// `shard_count` is rounded up to a power of two (minimum 1).
-  explicit ShardedVisitedSet(std::size_t shard_count);
-
-  ShardedVisitedSet(const ShardedVisitedSet&) = delete;
-  ShardedVisitedSet& operator=(const ShardedVisitedSet&) = delete;
-
-  /// Inserts the fingerprint; returns true iff it was not present. Safe to
-  /// call concurrently from any number of threads; for a given digest the
-  /// first caller (in the shard lock's order) gets true, everyone else
-  /// false — exactly once per distinct state.
-  bool insert(tpn::StateDigest digest);
-
-  /// Membership test without insertion. Used by the corridor chase of the
-  /// state-class admission (docs/search.md §3) to cut a forced chain that
-  /// rejoined explored territory before it reaches a decision state. A
-  /// false result is only a snapshot under concurrency — the later
-  /// insert() remains the authoritative exactly-once admission.
-  [[nodiscard]] bool contains(tpn::StateDigest digest) const;
-
-  /// Total distinct fingerprints inserted. Exact once all writers have
-  /// quiesced; a racy lower bound while inserts are in flight. One relaxed
-  /// atomic load — it no longer sums the shards under their locks, so
-  /// progress gauges can poll it without touching the insert path.
-  [[nodiscard]] std::uint64_t size() const {
-    return size_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  /// Heap footprint of the slot arrays, in bytes. Slot geometry depends
-  /// only on how many keys each shard holds, so for a fixed inserted set
-  /// the result is deterministic regardless of insertion interleaving.
-  [[nodiscard]] std::uint64_t memory_bytes() const;
-
-  /// Per-shard occupancy and probe-length distribution (ShardTelemetry's
-  /// contract: 8 exact displacement buckets plus an overflow bucket).
-  /// O(slots); intended for end-of-search telemetry collection.
-  [[nodiscard]] std::vector<ShardTelemetry> shard_stats() const;
-
- private:
-  /// One open-addressing table: 16-byte slots, linear probing, grown at
-  /// 70% load under the shard mutex. The all-zero slot value doubles as
-  /// the empty marker; the (vanishingly unlikely) genuine {0,0} digest is
-  /// tracked by a side flag instead of a slot.
-  struct Shard {
-    mutable std::mutex mu;  ///< mutable so size() can lock through const
-    std::vector<std::uint64_t> keys;  ///< 2 words per slot: [a0,b0,a1,b1,...]
-    std::size_t count = 0;            ///< occupied slots
-    bool zero_present = false;
-
-    bool insert_locked(std::uint64_t a, std::uint64_t b);
-    void grow_locked();
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shard_mask_ = 0;
-  std::atomic<std::uint64_t> size_{0};  ///< fresh inserts, counted outside mu
-};
 
 /// Lock-free visited set: the digest's low bits route to a shard, each
 /// shard is one LockFreeDigestTable. Digests with a zero word cannot use
@@ -144,7 +77,11 @@ class CasVisitedSet {
     return shard.table.insert(digest.a, digest.b, tid);
   }
 
-  /// Membership snapshot; same role as ShardedVisitedSet::contains.
+  /// Membership test without insertion. Used by the corridor chase of the
+  /// state-class admission (docs/search.md §3) to cut a forced chain that
+  /// rejoined explored territory before it reaches a decision state. A
+  /// false result is only a snapshot under concurrency — the later
+  /// insert() remains the authoritative exactly-once admission.
   [[nodiscard]] bool contains(tpn::StateDigest digest) const {
     const Shard& shard =
         *shards_[static_cast<std::size_t>(digest.a) & shard_mask_];
@@ -193,10 +130,9 @@ class CasVisitedSet {
     return total;
   }
 
-  /// Per-shard occupancy and probe-length distribution, same contract as
-  /// ShardedVisitedSet::shard_stats (8 exact displacement buckets plus an
-  /// overflow bucket; side-list keys count as displacement 0). Call after
-  /// writers quiesce.
+  /// Per-shard occupancy and probe-length distribution (ShardTelemetry's
+  /// contract: 8 exact displacement buckets plus an overflow bucket;
+  /// side-list keys count as displacement 0). Call after writers quiesce.
   [[nodiscard]] std::vector<ShardTelemetry> shard_stats() const {
     std::vector<ShardTelemetry> stats;
     stats.reserve(shards_.size());

@@ -21,7 +21,6 @@
 #include "obs/trace.hpp"
 #include "runtime/dispatcher_sim.hpp"
 #include "sched/dfs.hpp"
-#include "sched/visited_set.hpp"
 #include "workload/generator.hpp"
 
 namespace ezrt {
@@ -311,29 +310,6 @@ TEST(ParallelTelemetry, DeterministicRunReportsBothPhases) {
       sched::DfsScheduler(model.net, {}).search();
   expect_traces_identical(serial.trace, outcome.trace);
   expect_stats_equal(serial.stats, outcome.stats);
-}
-
-// -------------------------------------------------------- visited set --
-
-TEST(ShardedVisitedSetStats, OccupancyAndFootprintAreExact) {
-  sched::ShardedVisitedSet set(4);
-  constexpr std::uint64_t kKeys = 1000;
-  for (std::uint64_t i = 1; i <= kKeys; ++i) {
-    EXPECT_TRUE(set.insert(tpn::StateDigest{i * 0x9E3779B97F4A7C15ull,
-                                            i * 0xC2B2AE3D27D4EB4Full}));
-  }
-  EXPECT_EQ(set.size(), kKeys);
-  const std::vector<sched::ShardTelemetry> stats = set.shard_stats();
-  EXPECT_EQ(stats.size(), set.shard_count());
-  std::uint64_t occupied = 0;
-  std::uint64_t slots = 0;
-  for (const sched::ShardTelemetry& s : stats) {
-    occupied += s.occupied;
-    slots += s.slots;
-    EXPECT_LT(s.load_factor, 0.71);  // grown at 70%
-  }
-  EXPECT_EQ(occupied, kKeys);
-  EXPECT_EQ(set.memory_bytes(), slots * 2 * sizeof(std::uint64_t));
 }
 
 // --------------------------------------------------- dispatcher tracing --

@@ -16,10 +16,9 @@
 //     (Fig 3) and exclusion (Fig 4) example models;
 //   * trace_io round-trip — a parallel-produced trace survives save/load
 //     with replay equivalence (the pipeline edge P1–P10 don't exercise);
-//   * visited sets — exactly-once admission under thread contention for
-//     both the mutexed ShardedVisitedSet and the lock-free CasVisitedSet
-//     (docs/concurrency.md), including the exact-size-after-quiescence
-//     contract of the relaxed size counter;
+//   * visited set — exactly-once admission under thread contention for
+//     the lock-free CasVisitedSet (docs/concurrency.md), including the
+//     exact size after quiescence;
 //   * work sharing — steal/donation telemetry of the work-stealing pool is
 //     internally consistent and the distinct-state count stays
 //     thread-count independent on an exhausted instance.
@@ -306,95 +305,6 @@ TEST(ParallelTraceIo, RoundTripPreservesReplay) {
       replayed_restored.value()));
   EXPECT_EQ(replayed_original.value().elapsed(),
             replayed_restored.value().elapsed());
-}
-
-// -- ShardedVisitedSet -------------------------------------------------------
-
-TEST(ShardedVisitedSet, ExactlyOnceUnderContention) {
-  // 8 threads insert overlapping digest ranges; every digest must be
-  // admitted exactly once in total, and the final size must be exact.
-  constexpr std::uint64_t kDigests = 20'000;
-  constexpr std::uint32_t kThreads = 8;
-  sched::ShardedVisitedSet set(16);
-  std::vector<std::uint64_t> admitted(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (std::uint32_t w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
-      // Every thread walks the whole keyspace, offset so threads collide
-      // on different digests at different times.
-      for (std::uint64_t i = 0; i < kDigests; ++i) {
-        const std::uint64_t k = (i + w * (kDigests / kThreads)) % kDigests;
-        const tpn::StateDigest d{hash_cell(k, 1, kHashSeed),
-                                 hash_cell(k, 2, kHashSeed)};
-        if (set.insert(d)) {
-          ++admitted[w];
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  std::uint64_t total = 0;
-  for (std::uint64_t a : admitted) {
-    total += a;
-  }
-  EXPECT_EQ(total, kDigests);
-  EXPECT_EQ(set.size(), kDigests);
-}
-
-TEST(ShardedVisitedSet, DuplicateInsertReturnsFalse) {
-  sched::ShardedVisitedSet set(4);
-  const tpn::StateDigest d{0x1234, 0x5678};
-  EXPECT_TRUE(set.insert(d));
-  EXPECT_FALSE(set.insert(d));
-  // The all-zero digest is representable too (tracked out of band).
-  const tpn::StateDigest zero{0, 0};
-  EXPECT_TRUE(set.insert(zero));
-  EXPECT_FALSE(set.insert(zero));
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(ShardedVisitedSet, GrowsPastInitialCapacity) {
-  sched::ShardedVisitedSet set(1);  // single shard: forces table growth
-  constexpr std::uint64_t kDigests = 50'000;
-  for (std::uint64_t i = 0; i < kDigests; ++i) {
-    const tpn::StateDigest d{hash_cell(i, 7, kHashSeed),
-                             hash_cell(i, 9, kHashSeed)};
-    ASSERT_TRUE(set.insert(d));
-  }
-  for (std::uint64_t i = 0; i < kDigests; i += 97) {
-    const tpn::StateDigest d{hash_cell(i, 7, kHashSeed),
-                             hash_cell(i, 9, kHashSeed)};
-    EXPECT_FALSE(set.insert(d));
-  }
-  EXPECT_EQ(set.size(), kDigests);
-}
-
-TEST(ShardedVisitedSet, SizeIsExactAfterQuiescence) {
-  // size() is a relaxed counter bumped outside the shard locks: racing
-  // readers may see it lag, but after every writer joins it must equal
-  // the exact distinct-digest count — even under a duplicate-heavy mix
-  // where most inserts lose the race.
-  constexpr std::uint64_t kDistinct = 4'000;
-  constexpr std::uint32_t kThreads = 8;
-  sched::ShardedVisitedSet set(16);
-  std::vector<std::thread> threads;
-  for (std::uint32_t w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&] {
-      // All threads walk the same keys in the same order: maximal
-      // duplicate contention on every digest.
-      for (std::uint64_t i = 0; i < kDistinct; ++i) {
-        const tpn::StateDigest d{hash_cell(i, 3, kHashSeed),
-                                 hash_cell(i, 5, kHashSeed)};
-        set.insert(d);
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(set.size(), kDistinct);
 }
 
 // -- CasVisitedSet -----------------------------------------------------------

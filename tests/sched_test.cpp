@@ -2,6 +2,11 @@
 // modes, partial-order reduction, trace replay and schedule extraction.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "base/hash.hpp"
 #include "builder/tpn_builder.hpp"
 #include "sched/dfs.hpp"
 #include "sched/schedule_table.hpp"
@@ -33,6 +38,26 @@ using spec::TimingConstraints;
   return s;
 }
 
+/// The first-feasible engines (dfs, bestfirst, beam, two threads) as
+/// (name, options) pairs, with state classes forced on or off.
+[[nodiscard]] std::vector<std::pair<std::string, SchedulerOptions>>
+engine_variants(bool classes) {
+  std::vector<std::pair<std::string, SchedulerOptions>> out(4);
+  out[0].first = "dfs";
+  out[1].first = "bestfirst";
+  out[1].second.search_engine = SearchEngine::kBestFirst;
+  out[2].first = "beam";
+  out[2].second.search_engine = SearchEngine::kBeam;
+  out[3].first = "threads=2";
+  out[3].second.threads = 2;
+  for (auto& [name, options] : out) {
+    name += classes ? "+classes" : "";
+    options.state_classes =
+        classes ? StateClassMode::kOn : StateClassMode::kOff;
+  }
+  return out;
+}
+
 // -- Hand-built nets -----------------------------------------------------------
 
 TEST(Dfs, TrivialGoalAtInitialState) {
@@ -43,11 +68,16 @@ TEST(Dfs, TrivialGoalAtInitialState) {
   net.add_input(t, PlaceId(1));
   ASSERT_TRUE(net.validate().ok());
 
-  DfsScheduler scheduler(net);
-  const SearchOutcome out = scheduler.search();
-  EXPECT_EQ(out.status, SearchStatus::kFeasible);
-  EXPECT_TRUE(out.trace.empty());
-  EXPECT_EQ(out.stats.states_visited, 1u);
+  // s0 is admitted (and counted) before the goal test in every engine.
+  for (const bool classes : {false, true}) {
+    for (const auto& [name, options] : engine_variants(classes)) {
+      SCOPED_TRACE(name);
+      const SearchOutcome out = DfsScheduler(net, options).search();
+      EXPECT_EQ(out.status, SearchStatus::kFeasible);
+      EXPECT_TRUE(out.trace.empty());
+      EXPECT_EQ(out.stats.states_visited, 1u);
+    }
+  }
 }
 
 TEST(Dfs, LinearChainReachesGoal) {
@@ -70,6 +100,22 @@ TEST(Dfs, LinearChainReachesGoal) {
   EXPECT_EQ(out.trace[0].transition, t1);
   EXPECT_EQ(out.trace[0].delay, 2u);  // earliest policy
   EXPECT_EQ(out.trace[1].at, 3u);
+  EXPECT_EQ(out.stats.max_depth, 2u);  // s0 and the state after t1
+
+  // max_depth is the DFS stack height in every engine, and the count rule
+  // depends only on the key mode: within one mode all engines agree.
+  for (const bool classes : {false, true}) {
+    const SearchOutcome dfs =
+        DfsScheduler(net, engine_variants(classes).front().second).search();
+    for (const auto& [name, options] : engine_variants(classes)) {
+      SCOPED_TRACE(name);
+      const SearchOutcome o = DfsScheduler(net, options).search();
+      ASSERT_EQ(o.status, SearchStatus::kFeasible);
+      EXPECT_EQ(o.trace.size(), 2u);
+      EXPECT_EQ(o.stats.max_depth, dfs.stats.max_depth);
+      EXPECT_EQ(o.stats.states_visited, dfs.stats.states_visited);
+    }
+  }
 }
 
 TEST(Dfs, UnreachableGoalIsInfeasible) {
@@ -189,6 +235,109 @@ TEST(Dfs, AllInDomainFindsDelayedFiring) {
   const SearchOutcome out = scheduler.search();
   ASSERT_EQ(out.status, SearchStatus::kFeasible);
   EXPECT_EQ(out.trace.back().at, 3u);
+}
+
+// -- Pinned statistics -------------------------------------------------------
+
+/// Order-sensitive digest of a trace (transition, delay, timestamp).
+[[nodiscard]] std::uint64_t trace_hash(const Trace& trace) {
+  std::uint64_t h = kHashSeed;
+  for (const FiringEvent& e : trace) {
+    h = hash_mix(hash_mix(hash_mix(h, e.transition.value()), e.delay), e.at);
+  }
+  return h;
+}
+
+/// Default-DFS statistics and trace on the checked-in example models.
+/// Every field but the wall clock and the visited-table footprint is
+/// pinned: any change to the search kernel must reproduce them exactly.
+struct Golden {
+  const char* name;
+  Specification spec;
+  PruningMode pruning;
+  std::uint64_t states, fired, backtracks, pruned_deadline, pruned_visited,
+      pruned_priority, max_depth, trace_length, trace_hash;
+};
+
+/// examples/specs/harmonic_u40.ezspec, rebuilt in code.
+[[nodiscard]] Specification harmonic_u40() {
+  Specification s("workload-1");
+  s.add_processor("cpu0");
+  s.add_task("T1", TimingConstraints{0, 0, 28, 135, 200});
+  s.add_task("T2", TimingConstraints{0, 0, 9, 175, 200});
+  s.add_task("T3", TimingConstraints{0, 0, 12, 162, 200});
+  s.add_task("T4", TimingConstraints{0, 0, 16, 91, 100});
+  return s;
+}
+
+TEST(DfsGolden, ExampleModelsKeepTheirStatisticsAndTraces) {
+  const Golden goldens[] = {
+      {"mine_pump", workload::mine_pump_specification(),
+       PruningMode::kPriorityFilter, 3211, 3226, 80, 16, 0, 3270, 3130,
+       3130, 4488059357398901868ull},
+      {"harmonic_u40", harmonic_u40(), PruningMode::kPriorityFilter, 23, 22,
+       0, 0, 0, 15, 22, 22, 12157207866621660947ull},
+      {"uav_dual_processor", workload::uav_autopilot_specification(),
+       PruningMode::kNone, 65, 64, 0, 0, 0, 0, 64, 64,
+       8284553346209788659ull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    const BuiltModel model = build(g.spec);
+    SchedulerOptions options;
+    options.pruning = g.pruning;
+    const SearchOutcome out = DfsScheduler(model.net, options).search();
+    ASSERT_EQ(out.status, SearchStatus::kFeasible);
+    const SearchStats& st = out.stats;
+    EXPECT_EQ(st.states_visited, g.states);
+    EXPECT_EQ(st.transitions_fired, g.fired);
+    EXPECT_EQ(st.backtracks, g.backtracks);
+    EXPECT_EQ(st.pruned_deadline, g.pruned_deadline);
+    EXPECT_EQ(st.pruned_visited, g.pruned_visited);
+    EXPECT_EQ(st.pruned_priority, g.pruned_priority);
+    EXPECT_EQ(st.max_depth, g.max_depth);
+    EXPECT_EQ(out.trace.size(), g.trace_length);
+    EXPECT_EQ(trace_hash(out.trace), g.trace_hash);
+  }
+}
+
+// The exhausted UAV search (K = 1 makes it infeasible): with classes off
+// every engine and thread count admits and fires exactly the reachable
+// edges of the pruned successor graph; with classes on the admitted class
+// count is the invariant (fired and doom counts depend on the order).
+TEST(DfsGolden, ExhaustedUavSearchAgreesAcrossEngines) {
+  Specification s = workload::uav_autopilot_specification();
+  s.set_sync_budget(1);
+  const BuiltModel model = build(s);
+  const std::pair<SearchEngine, std::uint32_t> runs[] = {
+      {SearchEngine::kDfs, 0},
+      {SearchEngine::kBestFirst, 0},
+      {SearchEngine::kDfs, 1},
+      {SearchEngine::kDfs, 2},
+      {SearchEngine::kDfs, 4}};
+  for (const bool classes : {false, true}) {
+    for (const auto& [engine, threads] : runs) {
+      SCOPED_TRACE(std::string(to_string(engine)) + " threads " +
+                   std::to_string(threads) +
+                   (classes ? " classes on" : " classes off"));
+      SchedulerOptions options;
+      options.pruning = PruningMode::kNone;
+      options.search_engine = engine;
+      options.threads = threads;
+      options.state_classes =
+          classes ? StateClassMode::kOn : StateClassMode::kOff;
+      const SearchOutcome out = DfsScheduler(model.net, options).search();
+      EXPECT_EQ(out.status, SearchStatus::kInfeasible);
+      if (classes) {
+        EXPECT_EQ(out.stats.states_visited, 555u);
+        continue;
+      }
+      EXPECT_EQ(out.stats.states_visited, 5'529u);
+      EXPECT_EQ(out.stats.transitions_fired, 16'783u);
+      EXPECT_EQ(out.stats.pruned_deadline, 5'269u);
+      EXPECT_EQ(out.stats.pruned_visited, 5'986u);
+    }
+  }
 }
 
 TEST(Dfs, DeterministicAcrossRuns) {

@@ -1,4 +1,4 @@
-// Differential property tests for the concurrent visited sets
+// Differential property tests for the concurrent visited set
 // (sched/visited_set.hpp): randomized insert/contains mixes, with enough
 // keys per shard to force repeated growth, checked against a sequential
 // std::unordered_set oracle at 1/2/4/8 threads.
@@ -77,8 +77,8 @@ std::vector<tpn::StateDigest> make_keys(std::size_t count,
 
 /// Runs `ops_per_thread` random insert-or-contains operations per thread
 /// against `set`, then checks the exactly-once and no-loss properties
-/// against the oracle. `Set::insert` is adapted by the caller so the same
-/// harness drives both implementations.
+/// against the oracle. The caller adapts the set's insert, contains and
+/// size, so one harness drives every shard configuration.
 template <typename InsertFn, typename ContainsFn, typename SizeFn>
 void run_differential(std::uint32_t threads, std::size_t key_count,
                       std::size_t ops_per_thread, std::uint64_t seed,
@@ -173,16 +173,6 @@ TEST_P(VisitedDifferential, CasSetMatchesOracleShardedMix) {
   run_differential(
       threads, 30'000, 60'000, 0xfeed + threads,
       [&](tpn::StateDigest d, std::uint32_t tid) { return set.insert(d, tid); },
-      [&](tpn::StateDigest d) { return set.contains(d); },
-      [&] { return set.size(); });
-}
-
-TEST_P(VisitedDifferential, MutexSetMatchesOracle) {
-  const std::uint32_t threads = GetParam();
-  sched::ShardedVisitedSet set(8);
-  run_differential(
-      threads, 30'000, 60'000, 0xbeef + threads,
-      [&](tpn::StateDigest d, std::uint32_t) { return set.insert(d); },
       [&](tpn::StateDigest d) { return set.contains(d); },
       [&] { return set.size(); });
 }

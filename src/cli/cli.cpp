@@ -1247,7 +1247,8 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
   out << "drained: " << stats.requests << " requests, " << stats.ok
       << " ok, " << stats.sheds << " shed, " << stats.degrades
       << " degraded, " << stats.invalid << " invalid, cache "
-      << stats.cache.hits << " hits / " << stats.cache.misses
+      << stats.cache.hits << " hits (" << stats.cache.alias_hits
+      << " by alias) / " << stats.cache.misses
       << " misses / " << stats.cache.coalesced << " coalesced\n";
   return kCancelledExit;
 }

@@ -3,6 +3,22 @@
 #include "base/hash.hpp"
 
 namespace ezrt::serve {
+namespace {
+
+/// A ticket carrying a stored result: a resident entry's, or a published
+/// in-flight record's.
+template <class Stored>
+ScheduleCache::Ticket ticket_with(ScheduleCache::Role role,
+                                  const Stored& stored) {
+  ScheduleCache::Ticket ticket;
+  ticket.role = role;
+  ticket.report_json = stored.report_json;
+  ticket.exit_code = stored.exit_code;
+  ticket.verdict = stored.verdict;
+  return ticket;
+}
+
+}  // namespace
 
 std::string Digest::hex() const {
   static const char* kDigits = "0123456789abcdef";
@@ -59,12 +75,7 @@ ScheduleCache::Ticket ScheduleCache::acquire(
       if (!waited) {
         ++stats_.hits;
       }
-      Ticket ticket;
-      ticket.role = waited ? Role::kShared : Role::kHit;
-      ticket.report_json = it->second.report_json;
-      ticket.exit_code = it->second.exit_code;
-      ticket.verdict = it->second.verdict;
-      return ticket;
+      return ticket_with(waited ? Role::kShared : Role::kHit, it->second);
     }
     auto flight = in_flight_.find(digest);
     if (flight == in_flight_.end()) {
@@ -82,11 +93,7 @@ ScheduleCache::Ticket ScheduleCache::acquire(
         if (!waited) {
           ++stats_.hits;
         }
-        Ticket ticket;
-        ticket.role = waited ? Role::kShared : Role::kHit;
-        ticket.report_json = f.report_json;
-        ticket.exit_code = f.exit_code;
-        ticket.verdict = f.verdict;
+        Ticket ticket = ticket_with(waited ? Role::kShared : Role::kHit, f);
         if (f.waiters == 0) {
           in_flight_.erase(flight);
         }
@@ -119,11 +126,7 @@ ScheduleCache::Ticket ScheduleCache::acquire(
       return ticket;
     }
     if (f.published) {
-      Ticket ticket;
-      ticket.role = Role::kShared;
-      ticket.report_json = f.report_json;
-      ticket.exit_code = f.exit_code;
-      ticket.verdict = f.verdict;
+      Ticket ticket = ticket_with(Role::kShared, f);
       if (f.waiters == 0) {
         in_flight_.erase(flight);
       }
@@ -149,7 +152,11 @@ void ScheduleCache::publish(const Digest& digest, std::string report_json,
     it->second.exit_code = exit_code;
     it->second.verdict = verdict;
     while (entries_.size() > capacity_) {
-      entries_.erase(lru_.back());
+      const auto victim = entries_.find(lru_.back());
+      for (const Digest& raw : victim->second.aliases) {
+        aliases_.erase(raw);
+      }
+      entries_.erase(victim);
       lru_.pop_back();
       ++stats_.evictions;
     }
@@ -167,6 +174,35 @@ void ScheduleCache::publish(const Digest& digest, std::string report_json,
     }
   }
   resolved_cv_.notify_all();
+}
+
+std::optional<ScheduleCache::Ticket> ScheduleCache::lookup_alias(
+    const Digest& raw) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto alias = aliases_.find(raw);
+  if (alias == aliases_.end()) {
+    return std::nullopt;
+  }
+  // Eviction erases an entry's aliases, so the target is resident.
+  const auto it = entries_.find(alias->second);
+  touch_locked(it);
+  ++stats_.hits;
+  ++stats_.alias_hits;
+  return ticket_with(Role::kHit, it->second);
+}
+
+void ScheduleCache::add_alias(const Digest& raw, const Digest& canonical) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(canonical);
+  if (it == entries_.end() || !aliases_.try_emplace(raw, canonical).second) {
+    return;  // not resident, or already recorded
+  }
+  std::vector<Digest>& owned = it->second.aliases;
+  if (owned.size() == kMaxAliasesPerEntry) {
+    aliases_.erase(owned.front());
+    owned.erase(owned.begin());
+  }
+  owned.push_back(raw);
 }
 
 void ScheduleCache::abandon(const Digest& digest) {
@@ -188,6 +224,7 @@ CacheStats ScheduleCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   CacheStats out = stats_;
   out.entries = entries_.size();
+  out.aliases = aliases_.size();
   return out;
 }
 

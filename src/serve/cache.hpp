@@ -10,6 +10,16 @@
 // src/base/hash.hpp (two independent 64-bit lanes; a collision needs both
 // lanes to collide).
 //
+// Alias index: a second, smaller table maps a *raw* digest (the request's
+// spec bytes as received, plus the same option words) to the canonical
+// digest its spec canonicalized to, so a byte-identical repeat finds its
+// entry without parsing or re-serializing the spec. The mapping memoizes
+// a pure function, so an alias can never name the wrong entry. An alias is
+// recorded only for a resident entry, each entry owns at most
+// kMaxAliasesPerEntry of them (the oldest gives way) and eviction erases
+// them with their entry: the table is bounded by the cache capacity and
+// never answers for a digest that is absent or still in flight.
+//
 // Single-flight: when N identical requests arrive concurrently, the first
 // becomes the *owner* and runs the search; the rest park on a condition
 // variable (on their connection threads — the worker pool never blocks on
@@ -27,10 +37,12 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace ezrt::serve {
 
@@ -64,11 +76,13 @@ struct DigestHash {
 /// assertions) and must not vanish under EZRT_NO_TELEMETRY.
 struct CacheStats {
   std::uint64_t hits = 0;
+  std::uint64_t alias_hits = 0;  ///< the hits answered by the alias index
   std::uint64_t misses = 0;      ///< owner admissions (searches started)
   std::uint64_t coalesced = 0;   ///< waiters that joined an in-flight search
   std::uint64_t evictions = 0;   ///< LRU evictions
   std::uint64_t abandoned = 0;   ///< owner finished without a cacheable result
   std::uint64_t entries = 0;     ///< current resident entries
+  std::uint64_t aliases = 0;     ///< current alias-index size
 };
 
 class ScheduleCache {
@@ -106,6 +120,16 @@ class ScheduleCache {
   void publish(const Digest& digest, std::string report_json, int exit_code,
                std::string verdict);
 
+  /// Alias fast path: when `raw` was recorded for a resident entry, counts
+  /// a hit and returns that entry's result as a kHit ticket; otherwise
+  /// nullopt, and the caller takes the canonical path.
+  [[nodiscard]] std::optional<Ticket> lookup_alias(const Digest& raw);
+
+  /// Records that `raw` canonicalizes to `canonical`. A no-op unless
+  /// `canonical` is resident, so call it after a kHit/kShared acquire or
+  /// after the owner's publish.
+  void add_alias(const Digest& raw, const Digest& canonical);
+
   /// Owner declines to cache (guard verdict, degraded run, error).
   /// Waiters wake and are re-admitted one at a time (the first becomes
   /// the new owner), so a transient failure never wedges a digest.
@@ -113,12 +137,15 @@ class ScheduleCache {
 
   [[nodiscard]] CacheStats stats() const;
 
+  static constexpr std::size_t kMaxAliasesPerEntry = 4;
+
  private:
   struct Entry {
     std::string report_json;
     int exit_code = 0;
     std::string verdict;
     std::list<Digest>::iterator lru_pos;
+    std::vector<Digest> aliases;  ///< raw digests naming it, oldest first
   };
 
   struct InFlight {
@@ -138,6 +165,8 @@ class ScheduleCache {
   std::unordered_map<Digest, Entry, DigestHash> entries_;
   std::list<Digest> lru_;  ///< front = most recent
   std::unordered_map<Digest, InFlight, DigestHash> in_flight_;
+  /// Raw → canonical digest; every key is listed in its entry's `aliases`.
+  std::unordered_map<Digest, Digest, DigestHash> aliases_;
   CacheStats stats_;
 };
 

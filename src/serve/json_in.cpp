@@ -169,6 +169,18 @@ class Parser {
     ++pos_;  // '"'
     out.clear();
     while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      std::size_t end = pos_;
+      while (end < text_.size()) {
+        const unsigned char b = static_cast<unsigned char>(text_[end]);
+        if (b == '"' || b == '\\' || b < 0x20) {
+          break;
+        }
+        ++end;
+      }
+      out.append(text_.substr(pos_, end - pos_));
+      pos_ = end;
       if (eof()) {
         return fail("unterminated string");
       }
@@ -180,12 +192,7 @@ class Parser {
       if (c < 0x20) {
         return fail("unescaped control character in string");
       }
-      if (c != '\\') {
-        out.push_back(static_cast<char>(c));
-        ++pos_;
-        continue;
-      }
-      ++pos_;
+      ++pos_;  // '\\'
       if (eof()) {
         return fail("unterminated escape");
       }

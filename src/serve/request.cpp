@@ -184,6 +184,10 @@ std::vector<std::uint64_t> option_fingerprint(const ServeRequest& r) {
   };
 }
 
+Digest raw_digest(const ServeRequest& r) {
+  return compute_digest(r.spec_text, option_fingerprint(r));
+}
+
 Result<PreparedRequest> prepare_request(const ServeRequest& r) {
   auto parsed = pnml::read_ezspec(r.spec_text);
   if (!parsed.ok()) {

@@ -72,6 +72,11 @@ struct PreparedRequest {
 /// fingerprint). Fails with kParseError / kValidationError on bad specs.
 [[nodiscard]] Result<PreparedRequest> prepare_request(const ServeRequest& r);
 
+/// The alias-index key (docs/serve.md §3): the same digest over the spec
+/// bytes as received instead of the canonical ones. Equal raw digests
+/// canonicalize to equal PreparedRequest::digest values.
+[[nodiscard]] Digest raw_digest(const ServeRequest& r);
+
 /// The option words folded into the digest. Exposed for tests: every
 /// field that can change the report must move at least one word.
 [[nodiscard]] std::vector<std::uint64_t> option_fingerprint(

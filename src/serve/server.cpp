@@ -373,6 +373,37 @@ std::string Server::handle_schedule(ServeRequest request,
   const Clock::time_point deadline =
       received + std::chrono::milliseconds(budget_ms);
 
+  // Answers a kHit (from the LRU or the alias index) or kShared ticket.
+  auto reuse = [this, &request,
+                received](const ScheduleCache::Ticket& ticket) {
+    const bool hit = ticket.role == ScheduleCache::Role::kHit;
+    core::ServeResponseInfo info;
+    info.id = request.id;
+    info.status = status_for(ticket.exit_code);
+    info.code = ticket.exit_code;
+    info.verdict = ticket.verdict;
+    info.cache = hit ? "hit" : "coalesced";
+    info.queue_ms = ms_between(received, Clock::now());
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.ok;
+    }
+    if (hit) {
+      obs::ServeMetrics::global().cache_hits.add();
+    } else {
+      obs::ServeMetrics::global().coalesced.add();
+    }
+    return core::serve_response_json(info, &ticket.report_json);
+  };
+
+  // Alias fast path (docs/serve.md §3): a byte-for-byte repeat of an
+  // earlier document with the same options names its resident entry
+  // without parsing or canonicalizing the spec.
+  const Digest raw = raw_digest(request);
+  if (const auto ticket = cache_.lookup_alias(raw)) {
+    return reuse(*ticket);
+  }
+
   auto prepared = prepare_request(request);
   if (!prepared.ok()) {
     core::ServeResponseInfo info;
@@ -409,26 +440,9 @@ std::string Server::handle_schedule(ServeRequest request,
     ScheduleCache::Ticket ticket = cache_.acquire(digest, deadline);
     switch (ticket.role) {
       case ScheduleCache::Role::kHit:
-      case ScheduleCache::Role::kShared: {
-        const bool hit = ticket.role == ScheduleCache::Role::kHit;
-        core::ServeResponseInfo info;
-        info.id = request.id;
-        info.status = status_for(ticket.exit_code);
-        info.code = ticket.exit_code;
-        info.verdict = ticket.verdict;
-        info.cache = hit ? "hit" : "coalesced";
-        info.queue_ms = ms_between(received, Clock::now());
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.ok;
-        }
-        if (hit) {
-          obs::ServeMetrics::global().cache_hits.add();
-        } else {
-          obs::ServeMetrics::global().coalesced.add();
-        }
-        return core::serve_response_json(info, &ticket.report_json);
-      }
+      case ScheduleCache::Role::kShared:
+        cache_.add_alias(raw, digest);
+        return reuse(ticket);
       case ScheduleCache::Role::kTimeout:
         return overloaded(
             "budget of " + std::to_string(budget_ms) +
@@ -500,6 +514,7 @@ std::string Server::handle_schedule(ServeRequest request,
     queue_cv_.notify_one();
 
     Job::Outcome outcome = job->future.get();
+    cache_.add_alias(raw, digest);  // a no-op unless the worker published
     if (outcome.shed) {
       return overloaded(outcome.error, 100);
     }
@@ -660,11 +675,13 @@ std::string Server::stats_json() const {
   w.key("cache");
   w.begin_object();
   w.member("hits", s.cache.hits);
+  w.member("alias_hits", s.cache.alias_hits);
   w.member("misses", s.cache.misses);
   w.member("coalesced", s.cache.coalesced);
   w.member("evictions", s.cache.evictions);
   w.member("abandoned", s.cache.abandoned);
   w.member("entries", s.cache.entries);
+  w.member("aliases", s.cache.aliases);
   w.end_object();
   w.end_object();
   return w.take();

@@ -6,9 +6,12 @@
 //
 //   accept thread ──► connection threads (≤ max_connections)
 //                        │  read frame → parse JSON → parse request →
+//                        │  raw digest → alias lookup
+//                        │    alias hit: respond immediately
 //                        │  canonicalize spec → digest → cache acquire
-//                        │    kHit/kShared: respond immediately
-//                        │    kOwner: admission control → EDF queue
+//                        │    kHit/kShared: record alias, respond
+//                        │    kOwner: admission control → EDF queue;
+//                        │      after the publish, record alias
 //                        ▼
 //                     worker threads (worker pool)
 //                        pop earliest-deadline job → maybe degrade →

@@ -57,8 +57,8 @@ TEST(Admission, DensityInconclusiveForNonPreemptive) {
   s.add_processor("cpu");
   s.add_task("A", TimingConstraints{0, 0, 2, 8, 10});
   ASSERT_TRUE(s.validate().ok());
-  const AdmissionCheck* check =
-      find_check(check_admission(s), "EDF density");
+  const AdmissionReport report = check_admission(s);
+  const AdmissionCheck* check = find_check(report, "EDF density");
   ASSERT_NE(check, nullptr);
   EXPECT_EQ(check->verdict, AdmissionVerdict::kInconclusive);
 }
@@ -71,8 +71,8 @@ TEST(Admission, LiuLaylandAppliesToImplicitDeadlines) {
   s.add_task("B", TimingConstraints{0, 0, 5, 20, 20},
              SchedulingType::kPreemptive);  // U = 0.45 < 2(sqrt2-1)
   ASSERT_TRUE(s.validate().ok());
-  const AdmissionCheck* check =
-      find_check(check_admission(s), "Liu&Layland");
+  const AdmissionReport report = check_admission(s);
+  const AdmissionCheck* check = find_check(report, "Liu&Layland");
   ASSERT_NE(check, nullptr);
   EXPECT_EQ(check->verdict, AdmissionVerdict::kSchedulable);
 }
@@ -99,8 +99,8 @@ TEST(Admission, BlockingScreenWarnsTightWindows) {
   // PMC-style: slack 10 < CH4H's 25-unit non-preemptive body.
   Specification s = workload::mine_pump_specification();
   ASSERT_TRUE(s.validate().ok());
-  const AdmissionCheck* check =
-      find_check(check_admission(s), "blocking screen: PMC");
+  const AdmissionReport report = check_admission(s);
+  const AdmissionCheck* check = find_check(report, "blocking screen: PMC");
   ASSERT_NE(check, nullptr);
   EXPECT_EQ(check->verdict, AdmissionVerdict::kInconclusive);
 }

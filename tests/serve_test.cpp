@@ -58,10 +58,15 @@ TEST(JsonIn, LargeIntegersKeepExactUint64) {
 }
 
 TEST(JsonIn, RejectsMalformedDocuments) {
-  for (const char* bad :
-       {"", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru", "01", "1.", "1e",
-        "\"unterminated", "\"bad \\q escape\"", "{} trailing", "nan",
-        "'single'"}) {
+  const std::vector<std::string> documents = {
+      "", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru", "01", "1.", "1e",
+      "\"unterminated", "\"bad \\q escape\"", "{} trailing", "nan",
+      "'single'",
+      // Raw control bytes inside a run of plain bytes, and a string whose
+      // input ends inside one.
+      "\"plain \x01" "control\"", "\"raw\nnewline\"",
+      "\"" + std::string(300, 'x')};
+  for (const std::string& bad : documents) {
     EXPECT_FALSE(parse_json(bad).ok()) << bad;
   }
 }
@@ -109,7 +114,7 @@ TEST(Digest, CanonicalizationCollapsesFormattingOnly) {
 TEST(Digest, EveryOptionKnobMovesTheFingerprint) {
   const ServeRequest base;
   const auto baseline = option_fingerprint(base);
-  std::vector<ServeRequest> variants(9, base);
+  std::vector<ServeRequest> variants(10, base);
   variants[0].complete = true;
   variants[1].optimize = "makespan";
   variants[2].engine = sched::SearchEngine::kBestFirst;
@@ -118,10 +123,18 @@ TEST(Digest, EveryOptionKnobMovesTheFingerprint) {
   variants[5].threads = 2;
   variants[6].beam_width = 9;
   variants[7].widen = true;
-  variants[8].has_sync_budget = true;
+  variants[8].paper_blocks = true;
+  variants[9].has_sync_budget = true;
   for (const ServeRequest& variant : variants) {
     EXPECT_NE(option_fingerprint(variant), baseline);
   }
+  // The budget value itself, once an override is present.
+  ServeRequest budgeted = base;
+  budgeted.has_sync_budget = true;
+  budgeted.sync_budget = 3;
+  ServeRequest rebudgeted = budgeted;
+  rebudgeted.sync_budget = 4;
+  EXPECT_NE(option_fingerprint(budgeted), option_fingerprint(rebudgeted));
 }
 
 // ------------------------------------------------------------------ cache
@@ -209,6 +222,124 @@ TEST(Cache, WaiterTimesOutWhenOwnerIsSlow) {
       cache.acquire(digest, Clock::now() + std::chrono::milliseconds(30));
   EXPECT_EQ(ticket.role, ScheduleCache::Role::kTimeout);
   cache.abandon(digest);
+}
+
+// ------------------------------------------------------------ alias index
+
+/// Runs `canonical` through the owner path so it is resident.
+void publish_entry(ScheduleCache& cache, const Digest& canonical,
+                   const std::string& report) {
+  ASSERT_EQ(cache.acquire(canonical, Clock::now() + std::chrono::seconds(5))
+                .role,
+            ScheduleCache::Role::kOwner);
+  cache.publish(canonical, report, 0, "feasible");
+}
+
+TEST(CacheAlias, HitsAfterPublish) {
+  ScheduleCache cache(8);
+  const Digest canonical{1, 1};
+  const Digest raw{10, 10};
+  cache.add_alias(raw, canonical);  // not resident yet: nothing recorded
+  EXPECT_FALSE(cache.lookup_alias(raw).has_value());
+  publish_entry(cache, canonical, "the-report");
+  cache.add_alias(raw, canonical);
+  const auto ticket = cache.lookup_alias(raw);
+  ASSERT_TRUE(ticket.has_value());
+  EXPECT_EQ(ticket->role, ScheduleCache::Role::kHit);
+  EXPECT_EQ(ticket->report_json, "the-report");
+  EXPECT_EQ(ticket->verdict, "feasible");
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.alias_hits, 1u);
+  EXPECT_EQ(stats.aliases, 1u);
+}
+
+TEST(CacheAlias, EvictionErasesTheEntrysAliases) {
+  ScheduleCache cache(1);
+  const Digest first{1, 1};
+  const Digest second{2, 2};
+  const Digest raw{10, 10};
+  publish_entry(cache, first, "one");
+  cache.add_alias(raw, first);
+  ASSERT_TRUE(cache.lookup_alias(raw).has_value());
+  publish_entry(cache, second, "two");  // evicts `first`
+  EXPECT_FALSE(cache.lookup_alias(raw).has_value());
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.aliases, 0u);
+}
+
+TEST(CacheAlias, CapacityZeroStoresNoAlias) {
+  ScheduleCache cache(0);
+  const Digest canonical{1, 1};
+  const Digest raw{10, 10};
+  publish_entry(cache, canonical, "report");
+  cache.add_alias(raw, canonical);
+  EXPECT_FALSE(cache.lookup_alias(raw).has_value());
+  EXPECT_EQ(cache.stats().aliases, 0u);
+}
+
+TEST(CacheAlias, FifthLayoutDropsTheEntrysOldestAlias) {
+  ScheduleCache cache(8);
+  const Digest canonical{1, 1};
+  publish_entry(cache, canonical, "report");
+  std::vector<Digest> layouts;
+  for (std::uint64_t i = 0; i <= ScheduleCache::kMaxAliasesPerEntry; ++i) {
+    layouts.push_back(Digest{100 + i, 100 + i});
+    cache.add_alias(layouts.back(), canonical);
+    const CacheStats stats = cache.stats();
+    EXPECT_LE(stats.aliases,
+              ScheduleCache::kMaxAliasesPerEntry * stats.entries);
+  }
+  EXPECT_EQ(cache.stats().aliases, ScheduleCache::kMaxAliasesPerEntry);
+  EXPECT_FALSE(cache.lookup_alias(layouts.front()).has_value());
+  for (std::size_t i = 1; i < layouts.size(); ++i) {
+    EXPECT_TRUE(cache.lookup_alias(layouts[i]).has_value()) << i;
+  }
+}
+
+TEST(CacheAlias, InFlightDigestFallsThroughToSingleFlight) {
+  // `raw` was recorded while `canonical` was resident; `canonical` was
+  // then evicted and is being searched again. The alias must not answer,
+  // and the canonical path must still coalesce onto the one owner.
+  ScheduleCache cache(1);
+  const Digest canonical{1, 1};
+  const Digest other{2, 2};
+  const Digest raw{10, 10};
+  publish_entry(cache, canonical, "first");
+  cache.add_alias(raw, canonical);
+  publish_entry(cache, other, "other");
+  const auto owner =
+      cache.acquire(canonical, Clock::now() + std::chrono::seconds(10));
+  ASSERT_EQ(owner.role, ScheduleCache::Role::kOwner);
+  constexpr int kThreads = 4;
+  std::atomic<int> shared{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      EXPECT_FALSE(cache.lookup_alias(raw).has_value());
+      const auto ticket =
+          cache.acquire(canonical, Clock::now() + std::chrono::seconds(10));
+      if (ticket.role == ScheduleCache::Role::kShared) {
+        EXPECT_EQ(ticket.report_json, "second");
+        ++shared;
+      }
+    });
+  }
+  // Publish only once every thread has looked up the alias and parked.
+  const auto give_up = Clock::now() + std::chrono::seconds(5);
+  while (cache.stats().coalesced < kThreads && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  cache.publish(canonical, "second", 0, "feasible");
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(shared.load(), kThreads);
+  EXPECT_EQ(cache.stats().misses, 3u);  // first, other, and this owner
+  EXPECT_EQ(cache.stats().alias_hits, 0u);
+  cache.add_alias(raw, canonical);
+  EXPECT_EQ(cache.lookup_alias(raw)->report_json, "second");
 }
 
 // --------------------------------------------------------------- envelope
@@ -311,10 +442,9 @@ class ServeTest : public testing::Test {
     return w.take();
   }
 
-  /// Sends one frame on a fresh connection and returns the parsed
-  /// response.
-  [[nodiscard]] JsonValue roundtrip(const std::string& endpoint,
-                                    const std::string& payload) {
+  /// Sends one frame on a fresh connection and returns the raw response.
+  [[nodiscard]] static std::string roundtrip_frame(
+      const std::string& endpoint, const std::string& payload) {
     auto fd = connect_endpoint(endpoint);
     EXPECT_TRUE(fd.ok()) << fd.ok();
     EXPECT_TRUE(write_frame(fd.value(), payload).ok());
@@ -322,9 +452,24 @@ class ServeTest : public testing::Test {
     ::close(fd.value());
     EXPECT_TRUE(frame.ok());
     EXPECT_TRUE(frame.value().has_value());
-    auto parsed = parse_json(*frame.value());
+    return *frame.value();
+  }
+
+  /// Sends one frame on a fresh connection and returns the parsed
+  /// response.
+  [[nodiscard]] static JsonValue roundtrip(const std::string& endpoint,
+                                           const std::string& payload) {
+    auto parsed = parse_json(roundtrip_frame(endpoint, payload));
     EXPECT_TRUE(parsed.ok());
     return std::move(parsed).value();
+  }
+
+  /// The embedded run report's bytes: the envelope's last member.
+  [[nodiscard]] static std::string embedded_report(const std::string& frame) {
+    const std::size_t at = frame.find("\"report\":");
+    EXPECT_NE(at, std::string::npos) << frame;
+    const std::size_t begin = at + 9;
+    return frame.substr(begin, frame.rfind('}') - begin);
   }
 
   fs::path dir_;
@@ -339,28 +484,37 @@ TEST_F(ServeTest, SchedulesCachesAndServesByteIdenticalReports) {
   Server server(std::move(options));
   ASSERT_TRUE(server.start().ok());
 
-  const JsonValue first =
-      roundtrip(server.endpoint(), schedule_request(mine_pump_, "a"));
+  const std::string first_frame =
+      roundtrip_frame(server.endpoint(), schedule_request(mine_pump_, "a"));
+  const JsonValue first = parse_json(first_frame).value();
   EXPECT_EQ(first.find("status")->string, "ok");
   EXPECT_EQ(first.find("verdict")->string, "feasible");
   EXPECT_EQ(first.find("cache")->string, "miss");
   EXPECT_EQ(first.find("code")->uint_value, 0u);
   ASSERT_NE(first.find("report"), nullptr);
   EXPECT_EQ(first.find("report")->find("schema")->string, "ezrt-run-report");
+  const std::string report = embedded_report(first_frame);
 
-  const JsonValue second =
-      roundtrip(server.endpoint(), schedule_request(mine_pump_, "b"));
-  EXPECT_EQ(second.find("cache")->string, "hit");
-  // The cached report is byte-identical to the fresh one (deterministic
-  // emission) — compare a stable, content-bearing field.
-  EXPECT_EQ(first.find("report")->find("verdict")->string,
-            second.find("report")->find("verdict")->string);
+  // A whitespace-reformatted copy has its own raw digest but the same
+  // canonical one. In order: an alias hit on the first document, a
+  // canonical-path hit on the copy, then an alias hit on the copy.
+  std::string reformatted = mine_pump_;
+  reformatted.insert(reformatted.find('\n'), "   ");
+  const std::string* repeats[] = {&mine_pump_, &reformatted, &reformatted};
+  for (const std::string* spec : repeats) {
+    const std::string frame =
+        roundtrip_frame(server.endpoint(), schedule_request(*spec, "b"));
+    EXPECT_EQ(parse_json(frame).value().find("cache")->string, "hit");
+    // Deterministic emission: every hit carries the miss's report bytes.
+    EXPECT_EQ(embedded_report(frame), report);
+  }
 
   server.shutdown();
   server.wait();
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.hits, 3u);
+  EXPECT_EQ(stats.cache.alias_hits, 2u);
 }
 
 TEST_F(ServeTest, SingleFlightCoalescesConcurrentIdenticalRequests) {

@@ -56,6 +56,11 @@ def load_results():
                            "(tools/bench_compare.py)", "benchmarks": {}}
 
 
+# Google Benchmark reports real_time in the row's time_unit (ns unless the
+# benchmark sets ->Unit()); the trajectory stores milliseconds.
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+
 def record(results, label, report):
     for row in report.get("benchmarks", []):
         if row.get("run_type") == "aggregate":
@@ -63,8 +68,8 @@ def record(results, label, report):
         name = row["name"]
         entry = results["benchmarks"].setdefault(name, {})
         entry[label] = {
-            "real_time_ms": row["real_time"] / 1e6
-            if row.get("time_unit") == "ns" else row["real_time"],
+            "real_time_ms": row["real_time"]
+            * MS_PER_UNIT[row.get("time_unit", "ns")],
             "iterations": row.get("iterations"),
             # User-defined counters (states visited, states/sec, ...).
             "counters": {

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -19,6 +20,7 @@
 #include "tpn/dot.hpp"
 
 #include "core/project.hpp"
+#include "core/run_options.hpp"
 #include "core/run_report.hpp"
 #include "runtime/cyclic.hpp"
 #include "runtime/dispatcher_sim.hpp"
@@ -82,25 +84,39 @@ constexpr int kCancelledExit = 130;
 /// Parsed command line: positionals plus --flag[=value] options.
 class Args {
  public:
-  Args(const std::vector<std::string>& argv, std::size_t first) {
-    for (std::size_t i = first; i < argv.size(); ++i) {
+  /// Parses argv[1..] against the flags command argv[0] declares:
+  /// `run_options` adds every run-option flag (core/run_options.hpp),
+  /// `flags` lists its own, space-separated, with a trailing '=' on those
+  /// that take a value. An undeclared flag is an error that names it.
+  [[nodiscard]] static Result<Args> parse(const std::vector<std::string>& argv,
+                                          bool run_options,
+                                          std::string_view flags) {
+    Args args;
+    for (std::size_t i = 1; i < argv.size(); ++i) {
       const std::string& arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        const std::size_t eq = arg.find('=');
-        if (eq != std::string::npos) {
-          options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-        } else if (i + 1 < argv.size() && argv[i + 1].rfind("--", 0) != 0 &&
-                   wants_value(arg.substr(2))) {
-          options_[arg.substr(2)] = argv[++i];
-        } else {
-          options_[arg.substr(2)] = "";
-        }
-      } else if (arg == "-o" && i + 1 < argv.size()) {
-        options_["output"] = argv[++i];
+      if (arg != "-o" && arg.rfind("--", 0) != 0) {
+        args.positional_.push_back(arg);
+        continue;
+      }
+      const std::size_t eq = arg.find('=');
+      const std::string name = arg == "-o" ? "output" : arg.substr(2, eq - 2);
+      const std::optional<bool> wants_value =
+          takes_value(name, run_options, flags);
+      if (!wants_value.has_value()) {
+        return make_error(ErrorCode::kInvalidArgument,
+                          "ezrt " + argv[0] + ": unknown flag '" +
+                              arg.substr(0, eq) + "'");
+      }
+      if (eq != std::string::npos) {
+        args.options_[name] = arg.substr(eq + 1);
+      } else if (*wants_value && i + 1 < argv.size() &&
+                 argv[i + 1].rfind("--", 0) != 0) {
+        args.options_[name] = argv[++i];
       } else {
-        positional_.push_back(arg);
+        args.options_[name] = "";
       }
     }
+    return args;
   }
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
@@ -119,59 +135,53 @@ class Args {
   }
 
  private:
-  [[nodiscard]] static bool wants_value(const std::string& name) {
-    return name == "target" || name == "mcu" || name == "max-states" ||
-           name == "policy" || name == "trace" || name == "output" ||
-           name == "timer-hz" || name == "cycles" || name == "tasks" ||
-           name == "utilization" || name == "seed" || name == "preemptive" ||
-           name == "precedence" || name == "exclusion" ||
-           name == "optimize" || name == "threads" || name == "report" ||
-           name == "trace-out" || name == "wall-limit" ||
-           name == "mem-limit" || name == "faults" || name == "trials" ||
-           name == "intensities" || name == "policies" ||
-           name == "engine" || name == "beam-width" ||
-           name == "state-classes" || name == "processors" ||
-           name == "placement" || name == "messages" ||
-           name == "sync-budget" || name == "sync-cap" ||
-           name == "socket" || name == "workers" || name == "queue-depth" ||
-           name == "cache-entries" || name == "budget" ||
-           name == "degrade-queue" || name == "degrade-max-states" ||
-           name == "max-request-bytes";
+  /// Whether the declared flag `name` takes a value; nullopt when it is
+  /// not declared.
+  [[nodiscard]] static std::optional<bool> takes_value(
+      std::string_view name, bool run_options, std::string_view flags) {
+    if (run_options) {
+      for (const core::RunOption& row : core::run_options()) {
+        if (core::cli_flag(row) == name) {
+          return row.kind != core::OptionKind::kSwitch;
+        }
+      }
+    }
+    for (std::size_t pos = 0; pos < flags.size();) {
+      const std::size_t end = std::min(flags.find(' ', pos), flags.size());
+      std::string_view flag = flags.substr(pos, end - pos);
+      const bool value = flag.ends_with('=');
+      if (value) {
+        flag.remove_suffix(1);
+      }
+      if (flag == name) {
+        return value;
+      }
+      pos = end + 1;
+    }
+    return std::nullopt;
   }
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;
 };
 
-/// Parses a byte count with an optional k/m/g (binary) suffix: "64m",
-/// "2G", "1048576".
-[[nodiscard]] Result<std::uint64_t> parse_bytes(std::string_view text) {
-  std::uint64_t multiplier = 1;
-  if (!text.empty()) {
-    switch (text.back()) {
-      case 'k':
-      case 'K':
-        multiplier = 1ull << 10;
-        break;
-      case 'm':
-      case 'M':
-        multiplier = 1ull << 20;
-        break;
-      case 'g':
-      case 'G':
-        multiplier = 1ull << 30;
-        break;
-      default:
-        break;
-    }
-    if (multiplier != 1) {
-      text.remove_suffix(1);
-    }
+/// Reads the integer flag `name`, if given, into `field`: at least `min`
+/// and at most what `field` holds. False after printing the error.
+template <typename T>
+[[nodiscard]] bool read_uint(const Args& args, const std::string& name,
+                             T& field, std::ostream& err,
+                             std::uint64_t min = 0) {
+  const auto text = args.value(name);
+  if (!text.has_value()) {
+    return true;
   }
-  auto parsed = parse_uint(text);
+  auto parsed = core::parse_integer(*text, min, std::numeric_limits<T>::max(),
+                                    "--" + name);
   if (!parsed.ok()) {
-    return parsed.error();
+    err << "error: " << parsed.error() << "\n";
+    return false;
   }
-  return parsed.value() * multiplier;
+  field = static_cast<T>(parsed.value());
+  return true;
 }
 
 [[nodiscard]] Result<std::string> read_file(const std::string& path) {
@@ -209,96 +219,18 @@ class Args {
   if (!document.ok()) {
     return document.error();
   }
-  builder::BuildOptions build;
-  if (args.has("paper-blocks")) {
-    build.style = builder::BlockStyle::kPaper;
-  }
-  sched::SchedulerOptions scheduler;
-  if (args.has("complete")) {
-    scheduler.pruning = sched::PruningMode::kNone;
-  }
-  if (auto objective = args.value("optimize")) {
-    // Optimizing objectives explore exhaustively: imply the complete mode.
-    scheduler.pruning = sched::PruningMode::kNone;
-    if (*objective == "makespan") {
-      scheduler.objective = sched::Objective::kMinimizeMakespan;
-    } else if (*objective == "switches") {
-      scheduler.objective = sched::Objective::kMinimizeSwitches;
-    } else {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--optimize expects makespan|switches");
+  core::RunOptions options;
+  for (const core::RunOption& row : core::run_options()) {
+    const std::string flag = core::cli_flag(row);
+    if (auto text = args.value(flag)) {
+      if (auto status = core::set_text(options, row, *text, "--" + flag);
+          !status.ok()) {
+        return status.error();
+      }
     }
   }
-  if (auto max_states = args.value("max-states")) {
-    auto parsed = parse_uint(*max_states);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.max_states = parsed.value();
-  }
-  if (auto wall = args.value("wall-limit")) {
-    auto parsed = parse_uint(*wall);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.wall_limit_ms = parsed.value();
-  }
-  if (auto mem = args.value("mem-limit")) {
-    auto parsed = parse_bytes(*mem);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.memory_limit_bytes = parsed.value();
-  }
-  scheduler.cancel = cancel;
-  if (auto threads = args.value("threads")) {
-    auto parsed = parse_uint(*threads);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.threads = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (args.has("deterministic")) {
-    scheduler.deterministic = true;
-  }
-  if (auto engine = args.value("engine")) {
-    if (*engine == "dfs") {
-      scheduler.search_engine = sched::SearchEngine::kDfs;
-    } else if (*engine == "bestfirst") {
-      scheduler.search_engine = sched::SearchEngine::kBestFirst;
-    } else if (*engine == "beam") {
-      scheduler.search_engine = sched::SearchEngine::kBeam;
-    } else {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--engine expects dfs|bestfirst|beam");
-    }
-  }
-  if (auto width = args.value("beam-width")) {
-    auto parsed = parse_uint(*width);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    if (parsed.value() == 0) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--beam-width expects a positive width");
-    }
-    scheduler.beam_width = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (args.has("widen")) {
-    scheduler.widen = true;
-  }
-  if (auto classes = args.value("state-classes")) {
-    if (*classes == "auto") {
-      scheduler.state_classes = sched::StateClassMode::kAuto;
-    } else if (*classes == "on") {
-      scheduler.state_classes = sched::StateClassMode::kOn;
-    } else if (*classes == "off") {
-      scheduler.state_classes = sched::StateClassMode::kOff;
-    } else {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--state-classes expects auto|on|off");
-    }
-  }
+  core::resolve(options);
+  options.scheduler.cancel = cancel;
   auto parsed = [&] {
     obs::Span span(tracer, "spec-parse", "pipeline");
     return pnml::read_ezspec(document.value());
@@ -307,21 +239,46 @@ class Args {
     return parsed.error();
   }
   spec::Specification specification = std::move(parsed).value();
-  if (auto budget = args.value("sync-budget")) {
-    // Override the declared shared-synchronization pool K: shrinking it
-    // below a schedule's high-water mark flips the verdict to infeasible
-    // (docs/multiprocessor.md).
-    auto parsed_budget = parse_uint(*budget);
-    if (!parsed_budget.ok()) {
-      return parsed_budget.error();
-    }
-    specification.set_sync_budget(
-        static_cast<std::uint32_t>(parsed_budget.value()));
-  }
-  return core::Project(std::move(specification), build, scheduler);
+  options.apply_to(specification);
+  return core::Project(std::move(specification), options.build,
+                       options.scheduler);
 }
 
-int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
+/// The `--progress[=MS]` heartbeat: the sink a search publishes into and
+/// the reporter that prints it on stderr, so stdout stays parseable.
+struct Progress {
+  obs::ProgressSink sink;
+  std::optional<obs::ProgressReporter> reporter;
+
+  /// Starts the reporter when the flag is given; returns the sink to hand
+  /// the search (null without the flag).
+  [[nodiscard]] Result<obs::ProgressSink*> start(const Args& args,
+                                                 std::ostream& err) {
+    const auto value = args.value("progress");
+    if (!value.has_value()) {
+      return nullptr;
+    }
+    std::uint64_t interval_ms = 1000;
+    if (!value->empty()) {
+      auto parsed = core::parse_integer(
+          *value, 0, std::numeric_limits<std::uint32_t>::max(), "--progress");
+      if (!parsed.ok()) {
+        return parsed.error();
+      }
+      interval_ms = parsed.value();
+    }
+    reporter.emplace(sink, err, std::chrono::milliseconds(interval_ms));
+    return &sink;
+  }
+  void stop() {
+    if (reporter.has_value()) {
+      reporter->stop();
+    }
+  }
+};
+
+int cmd_info(const Args& args, std::ostream& out, std::ostream& err,
+             const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -372,7 +329,8 @@ int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
   return kOk;
 }
 
-int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_validate(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -401,28 +359,15 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err,
     p.scheduler_options().collect_telemetry = true;
   }
 
-  obs::ProgressSink sink;
-  std::optional<obs::ProgressReporter> reporter;
-  if (args.has("progress")) {
-    std::uint64_t interval_ms = 1000;
-    if (auto value = args.value("progress");
-        value.has_value() && !value->empty()) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --progress: " << parsed.error() << "\n";
-        return kInvalidInput;
-      }
-      interval_ms = parsed.value();
-    }
-    p.scheduler_options().progress = &sink;
-    // Heartbeats go to stderr so stdout stays parseable.
-    reporter.emplace(sink, err, std::chrono::milliseconds(interval_ms));
+  Progress progress;
+  auto sink = progress.start(args, err);
+  if (!sink.ok()) {
+    return fail(err, sink.error());
   }
+  p.scheduler_options().progress = sink.value();
 
   const Status status = p.schedule();
-  if (reporter.has_value()) {
-    reporter->stop();
-  }
+  progress.stop();
 
   // Report and Chrome trace are written on success *and* failure: the
   // effort spent proving infeasibility is exactly what one wants to
@@ -539,14 +484,8 @@ int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
   if (args.has("no-minimize")) {
     explain_options.minimize = false;
   }
-  if (auto cap = args.value("sync-cap")) {
-    auto parsed = parse_uint(*cap);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --sync-cap expects a positive budget\n";
-      return kInvalidInput;
-    }
-    explain_options.sync_budget_cap =
-        static_cast<std::uint32_t>(parsed.value());
+  if (!read_uint(args, "sync-cap", explain_options.sync_budget_cap, err, 1)) {
+    return kInvalidInput;
   }
 
   // Layer 1 first: a violated necessary condition explains infeasibility
@@ -594,7 +533,8 @@ int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
   return exit_code_for(explanation.status);
 }
 
-int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err,
+                const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -623,13 +563,8 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err) {
     }
     options.mcu = family.value();
   }
-  if (auto hz = args.value("timer-hz")) {
-    auto parsed = parse_uint(*hz);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    options.timer_hz = parsed.value();
+  if (!read_uint(args, "timer-hz", options.timer_hz, err)) {
+    return kInvalidInput;
   }
   auto code = project.value().generate_code(options);
   if (!code.ok()) {
@@ -649,7 +584,8 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err) {
   return kOk;
 }
 
-int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err,
+                   const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -672,7 +608,8 @@ int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err) {
   return kOk;
 }
 
-int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err,
+                    const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -692,7 +629,8 @@ int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err) {
   return kOk;
 }
 
-int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
   const auto trace_out_path = args.value("trace-out");
   obs::Tracer tracer;
   obs::Tracer* const tracer_ptr =
@@ -761,26 +699,16 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   return run.ok() ? kOk : kFailure;
 }
 
-int cmd_workload(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
   workload::WorkloadConfig config;
-  auto read_u64 = [&](const char* name, auto& field) -> bool {
-    if (auto value = args.value(name)) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --" << name << ": " << parsed.error() << "\n";
-        return false;
-      }
-      field = static_cast<std::remove_reference_t<decltype(field)>>(
-          parsed.value());
-    }
-    return true;
-  };
-  if (!read_u64("tasks", config.tasks) || !read_u64("seed", config.seed) ||
-      !read_u64("precedence", config.precedence_edges) ||
-      !read_u64("exclusion", config.exclusion_pairs) ||
-      !read_u64("processors", config.processors) ||
-      !read_u64("messages", config.messages) ||
-      !read_u64("sync-budget", config.sync_budget)) {
+  if (!read_uint(args, "tasks", config.tasks, err) ||
+      !read_uint(args, "seed", config.seed, err) ||
+      !read_uint(args, "precedence", config.precedence_edges, err) ||
+      !read_uint(args, "exclusion", config.exclusion_pairs, err) ||
+      !read_uint(args, "processors", config.processors, err) ||
+      !read_uint(args, "messages", config.messages, err) ||
+      !read_uint(args, "sync-budget", config.sync_budget, err)) {
     return kInvalidInput;
   }
   if (auto value = args.value("placement")) {
@@ -829,7 +757,8 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err) {
   return kOk;
 }
 
-int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -852,7 +781,8 @@ int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err) {
   return kOk;
 }
 
-int cmd_replay(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_replay(const Args& args, std::ostream& out, std::ostream& err,
+               const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -903,57 +833,26 @@ int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
   if (auto status = p.build(); !status.ok()) {
     return fail(err, status.error());
   }
-  sched::ReachabilityOptions reach_options;
-  reach_options.cancel = cancel;
-
-  obs::ProgressSink sink;
-  std::optional<obs::ProgressReporter> reporter;
-  if (args.has("progress")) {
-    std::uint64_t interval_ms = 1000;
-    if (auto value = args.value("progress");
-        value.has_value() && !value->empty()) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --progress: " << parsed.error() << "\n";
-        return kInvalidInput;
-      }
-      interval_ms = parsed.value();
-    }
-    reach_options.progress = &sink;
-    // Heartbeats go to stderr so stdout stays parseable.
-    reporter.emplace(sink, err, std::chrono::milliseconds(interval_ms));
+  // The state budget and resource guards are run options, parsed with
+  // the rest by load_project.
+  const sched::SchedulerOptions& limits = p.scheduler_options();
+  sched::ReachabilityOptions options;
+  options.cancel = cancel;
+  options.max_states = limits.max_states;
+  options.wall_limit_ms = limits.wall_limit_ms;
+  options.memory_limit_bytes = limits.memory_limit_bytes;
+  Progress progress;
+  auto sink = progress.start(args, err);
+  if (!sink.ok()) {
+    return fail(err, sink.error());
   }
-  std::uint64_t max_states = reach_options.max_states;
-  if (auto value = args.value("max-states")) {
-    auto parsed = parse_uint(*value);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    max_states = parsed.value();
-  }
-  if (auto value = args.value("wall-limit")) {
-    auto parsed = parse_uint(*value);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    reach_options.wall_limit_ms = parsed.value();
-  }
-  if (auto value = args.value("mem-limit")) {
-    auto parsed = parse_bytes(*value);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    reach_options.memory_limit_bytes = parsed.value();
-  }
+  options.progress = sink.value();
   if (args.has("classes")) {
     // Dense-time analysis via the state-class graph (Berthomieu-Diaz).
-    tpn::ClassGraphOptions options;
-    options.max_classes = max_states;
+    tpn::ClassGraphOptions class_options;
+    class_options.max_classes = options.max_states;
     const tpn::ClassGraphResult result =
-        tpn::build_class_graph(p.model().net, options);
+        tpn::build_class_graph(p.model().net, class_options);
     out << "state-class graph ("
         << (result.complete ? "complete" : "bounded") << ", dense time):\n"
         << "  classes explored:  " << result.classes_explored << "\n"
@@ -965,15 +864,11 @@ int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
         << (result.miss_reachable ? "yes" : "no") << "\n";
     return kOk;
   }
-  sched::ReachabilityOptions options = reach_options;
-  options.max_states = max_states;
   const sched::ReachabilityResult result = [&] {
     obs::Span span(tracer_ptr, "reachability", "pipeline");
     return sched::explore(p.model().net, options);
   }();
-  if (reporter.has_value()) {
-    reporter->stop();
-  }
+  progress.stop();
   // Report and Chrome trace are written for every stop reason: a
   // budget-limited exploration leaves the same audit trail as a complete
   // one (mirrors `ezrt schedule --report`).
@@ -1058,21 +953,9 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
       return kInvalidInput;
     }
   }
-  if (auto trials = args.value("trials")) {
-    auto parsed = parse_uint(*trials);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --trials expects a positive count\n";
-      return kInvalidInput;
-    }
-    campaign.trials = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto seed = args.value("seed")) {
-    auto parsed = parse_uint(*seed);
-    if (!parsed.ok()) {
-      err << "error: --seed: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    campaign.seed = parsed.value();
+  if (!read_uint(args, "trials", campaign.trials, err, 1) ||
+      !read_uint(args, "seed", campaign.seed, err)) {
+    return kInvalidInput;
   }
   if (auto list = args.value("policies")) {
     campaign.policies.clear();
@@ -1112,27 +995,15 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
 
   // --progress covers the synthesis phase (the search is where a campaign
   // can stall); the trial sweep afterwards is bounded work.
-  obs::ProgressSink sink;
-  std::optional<obs::ProgressReporter> reporter;
-  if (args.has("progress")) {
-    std::uint64_t interval_ms = 1000;
-    if (auto value = args.value("progress");
-        value.has_value() && !value->empty()) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --progress: " << parsed.error() << "\n";
-        return kInvalidInput;
-      }
-      interval_ms = parsed.value();
-    }
-    p.scheduler_options().progress = &sink;
-    reporter.emplace(sink, err, std::chrono::milliseconds(interval_ms));
+  Progress progress;
+  auto sink = progress.start(args, err);
+  if (!sink.ok()) {
+    return fail(err, sink.error());
   }
+  p.scheduler_options().progress = sink.value();
 
   auto table = p.table();  // synthesizes the schedule on demand
-  if (reporter.has_value()) {
-    reporter->stop();
-  }
+  progress.stop();
   if (!table.ok()) {
     return fail(err, table.error());
   }
@@ -1168,56 +1039,17 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
               const base::CancelToken* cancel) {
   serve::ServerOptions options;
   options.endpoint = args.value("socket").value_or("tcp:127.0.0.1:7420");
-  if (auto workers = args.value("workers")) {
-    auto parsed = parse_uint(*workers);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --workers expects a positive count\n";
-      return kInvalidInput;
-    }
-    options.workers = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto depth = args.value("queue-depth")) {
-    auto parsed = parse_uint(*depth);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --queue-depth expects a positive depth\n";
-      return kInvalidInput;
-    }
-    options.queue_depth = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto entries = args.value("cache-entries")) {
-    auto parsed = parse_uint(*entries);
-    if (!parsed.ok()) {
-      err << "error: --cache-entries expects a count\n";
-      return kInvalidInput;
-    }
-    options.cache_entries = static_cast<std::size_t>(parsed.value());
-  }
-  if (auto budget = args.value("budget")) {
-    auto parsed = parse_uint(*budget);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --budget expects a positive default budget in ms\n";
-      return kInvalidInput;
-    }
-    options.default_budget_ms = parsed.value();
-  }
-  if (auto degrade = args.value("degrade-queue")) {
-    auto parsed = parse_uint(*degrade);
-    if (!parsed.ok()) {
-      err << "error: --degrade-queue expects a queue length (0 = never)\n";
-      return kInvalidInput;
-    }
-    options.degrade_queue = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto states = args.value("degrade-max-states")) {
-    auto parsed = parse_uint(*states);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --degrade-max-states expects a positive budget\n";
-      return kInvalidInput;
-    }
-    options.degrade_max_states = parsed.value();
+  if (!read_uint(args, "workers", options.workers, err, 1) ||
+      !read_uint(args, "queue-depth", options.queue_depth, err, 1) ||
+      !read_uint(args, "cache-entries", options.cache_entries, err) ||
+      !read_uint(args, "budget", options.default_budget_ms, err, 1) ||
+      !read_uint(args, "degrade-queue", options.degrade_queue, err) ||
+      !read_uint(args, "degrade-max-states", options.degrade_max_states, err,
+                 1)) {
+    return kInvalidInput;
   }
   if (auto bytes = args.value("max-request-bytes")) {
-    auto parsed = parse_bytes(*bytes);
+    auto parsed = core::parse_bytes(*bytes);
     if (!parsed.ok() || parsed.value() == 0 ||
         parsed.value() > serve::kMaxFrameBytes) {
       err << "error: --max-request-bytes expects 1.." "64m\n";
@@ -1252,6 +1084,40 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
       << " misses / " << stats.cache.coalesced << " coalesced\n";
   return kCancelledExit;
 }
+
+/// One `ezrt` command and the flags it declares. A command that loads a
+/// project also accepts every run-option flag; `flags` lists its own, as
+/// Args::parse reads them.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&, std::ostream&, std::ostream&,
+             const base::CancelToken*);
+  bool run_options;
+  std::string_view flags;
+};
+
+constexpr Command kCommands[] = {
+    {"info", cmd_info, true, ""},
+    {"validate", cmd_validate, true, ""},
+    {"schedule", cmd_schedule, true, "report= trace-out= trace= progress"},
+    {"explain", cmd_explain, true, "report= no-minimize sync-cap="},
+    {"codegen", cmd_codegen, true, "output= target= mcu= timer-hz="},
+    {"export-pnml", cmd_export_pnml, true, "output="},
+    {"export-dot", cmd_export_dot, true, "output= priorities"},
+    {"simulate", cmd_simulate, true, "trace-out= cycles="},
+    {"baseline", cmd_baseline, true, ""},
+    {"workload", cmd_workload, false,
+     "output= tasks= utilization= seed= preemptive= precedence= exclusion= "
+     "processors= placement= messages= sync-budget="},
+    {"replay", cmd_replay, true, ""},
+    {"reach", cmd_reach, true, "report= trace-out= progress classes"},
+    {"robust", cmd_robust, true,
+     "faults= intensities= trials= seed= policies= report= trace-out= "
+     "progress"},
+    {"serve", cmd_serve, false,
+     "socket= workers= queue-depth= cache-entries= budget= degrade-queue= "
+     "degrade-max-states= max-request-bytes="},
+};
 
 }  // namespace
 
@@ -1354,51 +1220,16 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     out << usage();
     return args.empty() ? kInvalidInput : kOk;
   }
-  const std::string& command = args[0];
-  const Args parsed(args, 1);
-  if (command == "info") {
-    return cmd_info(parsed, out, err);
+  for (const Command& command : kCommands) {
+    if (command.name == args[0]) {
+      auto parsed = Args::parse(args, command.run_options, command.flags);
+      if (!parsed.ok()) {
+        return fail(err, parsed.error());
+      }
+      return command.run(parsed.value(), out, err, cancel);
+    }
   }
-  if (command == "validate") {
-    return cmd_validate(parsed, out, err);
-  }
-  if (command == "schedule") {
-    return cmd_schedule(parsed, out, err, cancel);
-  }
-  if (command == "explain") {
-    return cmd_explain(parsed, out, err, cancel);
-  }
-  if (command == "codegen") {
-    return cmd_codegen(parsed, out, err);
-  }
-  if (command == "export-pnml") {
-    return cmd_export_pnml(parsed, out, err);
-  }
-  if (command == "export-dot") {
-    return cmd_export_dot(parsed, out, err);
-  }
-  if (command == "simulate") {
-    return cmd_simulate(parsed, out, err);
-  }
-  if (command == "baseline") {
-    return cmd_baseline(parsed, out, err);
-  }
-  if (command == "workload") {
-    return cmd_workload(parsed, out, err);
-  }
-  if (command == "replay") {
-    return cmd_replay(parsed, out, err);
-  }
-  if (command == "reach") {
-    return cmd_reach(parsed, out, err, cancel);
-  }
-  if (command == "robust") {
-    return cmd_robust(parsed, out, err, cancel);
-  }
-  if (command == "serve") {
-    return cmd_serve(parsed, out, err, cancel);
-  }
-  err << "error: unknown command '" << command << "'\n" << usage();
+  err << "error: unknown command '" << args[0] << "'\n" << usage();
   return kInvalidInput;
 }
 

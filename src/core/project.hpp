@@ -87,6 +87,9 @@ class Project {
   [[nodiscard]] sched::SchedulerOptions& scheduler_options() {
     return scheduler_options_;
   }
+  [[nodiscard]] const builder::BuildOptions& build_options() const {
+    return build_options_;
+  }
 
  private:
   spec::Specification spec_;

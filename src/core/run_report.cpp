@@ -81,7 +81,8 @@ void write_model(JsonWriter& w, Project& project) {
   w.end_object();
 }
 
-void write_options(JsonWriter& w, const sched::SchedulerOptions& opt) {
+void write_options(JsonWriter& w, Project& project) {
+  const sched::SchedulerOptions& opt = project.scheduler_options();
   w.key("options").begin_object();
   w.member("pruning", to_string(opt.pruning));
   w.member("firing_times", to_string(opt.firing_times));
@@ -107,6 +108,7 @@ void write_options(JsonWriter& w, const sched::SchedulerOptions& opt) {
   w.member("deterministic", opt.deterministic);
   w.member("collect_telemetry", opt.collect_telemetry);
   w.member("collect_attribution", opt.collect_attribution);
+  w.member("block_style", builder::to_string(project.build_options().style));
   w.end_object();
 }
 
@@ -277,7 +279,7 @@ std::string run_report_json(Project& project, const obs::Tracer* tracer,
   // (wall-clock fields zeroed, stages/telemetry omitted, counters empty).
   w.member("version", 5);
   write_model(w, project);
-  write_options(w, project.scheduler_options());
+  write_options(w, project);
 
   if (project.scheduled()) {
     const sched::SearchOutcome& outcome = project.outcome();

@@ -1,5 +1,6 @@
 #include "serve/request.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "pnml/ezspec_io.hpp"
@@ -7,97 +8,33 @@
 namespace ezrt::serve {
 namespace {
 
-Result<std::uint64_t> require_uint(const JsonValue& v, const char* name) {
-  if (v.kind != JsonValue::Kind::kNumber || !v.is_uint) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      std::string("request option '") + name +
-                          "' must be a non-negative integer");
-  }
-  return v.uint_value;
-}
-
-Result<bool> require_bool(const JsonValue& v, const char* name) {
-  if (v.kind != JsonValue::Kind::kBool) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      std::string("request option '") + name +
-                          "' must be a boolean");
-  }
-  return v.boolean;
-}
-
-Status parse_options(const JsonValue& options, ServeRequest& out) {
+Status parse_options(const JsonValue& options, core::RunOptions& out) {
   if (!options.is_object()) {
     return make_error(ErrorCode::kInvalidArgument,
                       "request 'options' must be an object");
   }
+  const auto rows = core::run_options();
   for (const auto& [name, value] : options.object) {
-    if (name == "complete") {
-      auto v = require_bool(value, "complete");
-      if (!v.ok()) return v.error();
-      out.complete = v.value();
-    } else if (name == "optimize") {
-      if (!value.is_string() ||
-          (value.string != "makespan" && value.string != "switches")) {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'optimize' expects makespan|switches");
-      }
-      out.optimize = value.string;
-      out.complete = true;  // optimizing objectives imply complete (CLI rule)
-    } else if (name == "engine") {
-      if (value.is_string() && value.string == "dfs") {
-        out.engine = sched::SearchEngine::kDfs;
-      } else if (value.is_string() && value.string == "bestfirst") {
-        out.engine = sched::SearchEngine::kBestFirst;
-      } else if (value.is_string() && value.string == "beam") {
-        out.engine = sched::SearchEngine::kBeam;
-      } else {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'engine' expects dfs|bestfirst|beam");
-      }
-    } else if (name == "state_classes") {
-      if (value.is_string() && value.string == "auto") {
-        out.state_classes = sched::StateClassMode::kAuto;
-      } else if (value.is_string() && value.string == "on") {
-        out.state_classes = sched::StateClassMode::kOn;
-      } else if (value.is_string() && value.string == "off") {
-        out.state_classes = sched::StateClassMode::kOff;
-      } else {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'state_classes' expects auto|on|off");
-      }
-    } else if (name == "max_states") {
-      auto v = require_uint(value, "max_states");
-      if (!v.ok()) return v.error();
-      out.max_states = v.value();
-    } else if (name == "threads") {
-      auto v = require_uint(value, "threads");
-      if (!v.ok()) return v.error();
-      out.threads = static_cast<std::uint32_t>(v.value());
-    } else if (name == "beam_width") {
-      auto v = require_uint(value, "beam_width");
-      if (!v.ok()) return v.error();
-      if (v.value() == 0) {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'beam_width' expects a positive width");
-      }
-      out.beam_width = static_cast<std::uint32_t>(v.value());
-    } else if (name == "widen") {
-      auto v = require_bool(value, "widen");
-      if (!v.ok()) return v.error();
-      out.widen = v.value();
-    } else if (name == "paper_blocks") {
-      auto v = require_bool(value, "paper_blocks");
-      if (!v.ok()) return v.error();
-      out.paper_blocks = v.value();
-    } else if (name == "sync_budget") {
-      auto v = require_uint(value, "sync_budget");
-      if (!v.ok()) return v.error();
-      out.has_sync_budget = true;
-      out.sync_budget = static_cast<std::uint32_t>(v.value());
-    } else {
+    const auto row = std::find_if(rows.begin(), rows.end(), [&](const auto& r) {
+      return r.served && r.name == name;
+    });
+    if (row == rows.end()) {
       // Strict: silently ignoring a typo'd limit would run unbudgeted.
       return make_error(ErrorCode::kInvalidArgument,
                         "unknown request option '" + name + "'");
+    }
+    const std::string label = "option '" + name + "'";
+    Status status = core::invalid_value(*row, label);
+    if (row->kind == core::OptionKind::kChoice && value.is_string()) {
+      status = core::set_text(out, *row, value.string, label);
+    } else if (row->kind == core::OptionKind::kSwitch &&
+               value.kind == JsonValue::Kind::kBool) {
+      status = core::set_word(out, *row, value.boolean ? 1 : 0, label);
+    } else if (row->kind == core::OptionKind::kInteger && value.is_uint) {
+      status = core::set_word(out, *row, value.uint_value, label);
+    }
+    if (!status.ok()) {
+      return status;
     }
   }
   return {};
@@ -138,15 +75,18 @@ Result<ServeRequest> parse_request(const JsonValue& root) {
     out.op = op->string;
   }
   if (const JsonValue* budget = root.find("budget_ms"); budget != nullptr) {
-    auto v = require_uint(*budget, "budget_ms");
-    if (!v.ok()) return v.error();
-    out.budget_ms = v.value();
+    if (!budget->is_uint) {
+      return make_error(ErrorCode::kInvalidArgument,
+                        "request 'budget_ms' must be a non-negative integer");
+    }
+    out.budget_ms = budget->uint_value;
   }
   if (const JsonValue* options = root.find("options"); options != nullptr) {
-    if (auto status = parse_options(*options, out); !status.ok()) {
+    if (auto status = parse_options(*options, out.options); !status.ok()) {
       return status.error();
     }
   }
+  core::resolve(out.options);
   if (out.op == "schedule") {
     const JsonValue* spec = root.find("spec");
     if (spec == nullptr || !spec->is_string() || spec->string.empty()) {
@@ -160,28 +100,9 @@ Result<ServeRequest> parse_request(const JsonValue& root) {
 }
 
 std::vector<std::uint64_t> option_fingerprint(const ServeRequest& r) {
-  // One word per verdict-relevant knob, position-tagged by the fixed
-  // order below. budget_ms and id are deliberately absent: they shape
-  // admission, not the result.
-  std::uint64_t objective = 0;
-  if (r.optimize == "makespan") {
-    objective = 1;
-  } else if (r.optimize == "switches") {
-    objective = 2;
-  }
-  return {
-      r.complete ? 1u : 0u,
-      objective,
-      static_cast<std::uint64_t>(r.engine),
-      static_cast<std::uint64_t>(r.state_classes),
-      r.max_states,
-      r.threads,
-      r.beam_width,
-      r.widen ? 1u : 0u,
-      r.paper_blocks ? 1u : 0u,
-      r.has_sync_budget ? 1u : 0u,
-      r.sync_budget,
-  };
+  // budget_ms and id are deliberately absent: they shape admission, not
+  // the result.
+  return core::served_words(r.options);
 }
 
 Digest raw_digest(const ServeRequest& r) {
@@ -195,40 +116,21 @@ Result<PreparedRequest> prepare_request(const ServeRequest& r) {
   }
   PreparedRequest out;
   out.specification = std::move(parsed).value();
-  if (r.has_sync_budget) {
-    out.specification.set_sync_budget(r.sync_budget);
-  }
-  if (r.paper_blocks) {
-    out.build.style = builder::BlockStyle::kPaper;
-  }
-  sched::SchedulerOptions& s = out.scheduler;
-  if (r.complete) {
-    s.pruning = sched::PruningMode::kNone;
-  }
-  if (r.optimize == "makespan") {
-    s.objective = sched::Objective::kMinimizeMakespan;
-  } else if (r.optimize == "switches") {
-    s.objective = sched::Objective::kMinimizeSwitches;
-  }
-  s.search_engine = r.engine;
-  s.state_classes = r.state_classes;
-  s.max_states = r.max_states;
-  s.threads = r.threads;
-  s.beam_width = r.beam_width;
-  s.widen = r.widen;
+  r.options.apply_to(out.specification);
+  out.build = r.options.build;
+  out.scheduler = r.options.scheduler;
   // Thread-count verdict determinism is non-negotiable for a cache keyed
   // on (spec, options): without it, which of kFeasible/kLimitReached wins
   // a bounded parallel race would be frozen into the cache.
-  if (s.threads > 0) {
-    s.deterministic = true;
+  if (out.scheduler.threads > 0) {
+    out.scheduler.deterministic = true;
   }
   auto canonical = pnml::write_ezspec(out.specification);
   if (!canonical.ok()) {
     return canonical.error();
   }
   out.canonical_spec = std::move(canonical).value();
-  const std::vector<std::uint64_t> fingerprint = option_fingerprint(r);
-  out.digest = compute_digest(out.canonical_spec, fingerprint);
+  out.digest = compute_digest(out.canonical_spec, option_fingerprint(r));
   return out;
 }
 

@@ -2,12 +2,13 @@
 // (docs/serve.md §2–3).
 //
 // A request carries the ez-spec document *inline* (the server never
-// touches the filesystem on behalf of a client) plus the subset of the
-// CLI's search options that can change the verdict. Parsing is strict —
-// unknown options are rejected rather than ignored, so a typo'd
-// "max_staets" fails loudly instead of silently running unbounded — and
-// preparation re-serializes the parsed spec through pnml::write_ezspec,
-// so the cache digest covers canonical bytes, not client formatting.
+// touches the filesystem on behalf of a client) plus the served rows of
+// the run-option table (core/run_options.hpp), the options that can
+// change the verdict. Parsing is strict — unknown options are rejected
+// rather than ignored, so a typo'd "max_staets" fails loudly instead of
+// silently running unbounded — and preparation re-serializes the parsed
+// spec through pnml::write_ezspec, so the cache digest covers canonical
+// bytes, not client formatting.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 
 #include "base/result.hpp"
 #include "builder/tpn_builder.hpp"
+#include "core/run_options.hpp"
 #include "sched/dfs.hpp"
 #include "serve/cache.hpp"
 #include "serve/json_in.hpp"
@@ -32,25 +34,17 @@ struct ServeRequest {
   /// 0 = use the server default.
   std::uint64_t budget_ms = 0;
 
-  // Verdict-relevant search options (mirrors the CLI surface).
-  bool complete = false;
-  std::string optimize;  ///< "", "makespan", "switches"
-  sched::SearchEngine engine = sched::SearchEngine::kDfs;
-  sched::StateClassMode state_classes = sched::StateClassMode::kAuto;
-  std::uint64_t max_states = sched::SchedulerOptions{}.max_states;
-  std::uint32_t threads = 0;
-  std::uint32_t beam_width = 8;
-  bool widen = false;
-  bool paper_blocks = false;
-  bool has_sync_budget = false;
-  std::uint32_t sync_budget = 0;
+  /// The served run options, resolved (core::resolve).
+  core::RunOptions options;
 
   /// Eligible for graceful degradation (docs/serve.md §4): an exhaustive
   /// first-feasible search, which is exactly the shape whose cost the
   /// bestfirst+classes downgrade collapses.
   [[nodiscard]] bool exhaustive() const {
-    return complete && optimize.empty() &&
-           engine == sched::SearchEngine::kDfs;
+    const sched::SchedulerOptions& s = options.scheduler;
+    return s.pruning == sched::PruningMode::kNone &&
+           s.objective == sched::Objective::kFirstFeasible &&
+           s.search_engine == sched::SearchEngine::kDfs;
   }
 };
 
@@ -77,8 +71,8 @@ struct PreparedRequest {
 /// canonicalize to equal PreparedRequest::digest values.
 [[nodiscard]] Digest raw_digest(const ServeRequest& r);
 
-/// The option words folded into the digest. Exposed for tests: every
-/// field that can change the report must move at least one word.
+/// The option words folded into the digest: one per served row of the
+/// run-option table.
 [[nodiscard]] std::vector<std::uint64_t> option_fingerprint(
     const ServeRequest& r);
 

@@ -325,6 +325,10 @@ TEST_F(CliTest, EngineFlagRejectsUnknownValue) {
 
 TEST_F(CliTest, BeamWidthRejectsZero) {
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--beam-width", "0"}), 4);
+  // 2^32 would narrow to a width of 0.
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--beam-width", "4294967296"}),
+            4);
+  EXPECT_NE(err_.str().find("--beam-width"), std::string::npos);
 }
 
 TEST_F(CliTest, ScheduleWritesReportOnInfeasibleModels) {
@@ -442,6 +446,38 @@ TEST_F(CliTest, ScheduleCancelledExitCode) {
 TEST_F(CliTest, ScheduleRejectsBadLimitFlags) {
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--wall-limit", "abc"}), 4);
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--mem-limit", "12q"}), 4);
+  // Byte counts whose product wraps 2^64 (to 0, which would switch the
+  // guard off, and to 1024 bytes).
+  for (const char* bytes : {"17179869184g", "18014398509481985k"}) {
+    EXPECT_EQ(run_cli({"schedule", spec_path_, "--mem-limit", bytes}), 4);
+    EXPECT_NE(err_.str().find("--mem-limit"), std::string::npos) << bytes;
+  }
+  // Thread counts beyond the cap, including ones that narrow to 32 bits.
+  for (const char* threads : {"257", "4294967295", "4294967298"}) {
+    EXPECT_EQ(run_cli({"schedule", spec_path_, "--threads", threads}), 4);
+    EXPECT_NE(err_.str().find("--threads"), std::string::npos) << threads;
+  }
+  EXPECT_EQ(run_cli({"info", spec_path_, "--sync-budget", "4294967296"}), 4);
+  EXPECT_EQ(out_.str(), "");
+}
+
+TEST_F(CliTest, UndeclaredFlagsExit4AndNameTheFlag) {
+  // A typo'd limit must not run unbudgeted: --max-states=10 trips its
+  // budget (exit 3), the misspelling is refused before any search.
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--max-states=10"}), 3);
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--max-staets=10"}), 4);
+  EXPECT_NE(err_.str().find("'--max-staets'"), std::string::npos);
+  EXPECT_EQ(out_.str(), "");
+  // Each surface accepts only its own spelling of a run option, and a
+  // command accepts only the flags it declares.
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--max_states", "10"}), 4);
+  EXPECT_EQ(run_cli({"info", spec_path_, "--report", "x.json"}), 4);
+  EXPECT_EQ(run_cli({"workload", "--threads", "2"}), 4);
+  EXPECT_NE(err_.str().find("'--threads'"), std::string::npos);
+  // Command-local counts are range-checked before they are narrowed.
+  EXPECT_EQ(run_cli({"workload", "--tasks", "4294967296"}), 4);
+  EXPECT_EQ(run_cli({"robust", spec_path_, "--trials", "4294967297"}), 4);
+  EXPECT_EQ(run_cli({"serve", "--workers", "4294967296"}), 4);
 }
 
 TEST_F(CliTest, RobustRunsCampaignAndWritesReport) {

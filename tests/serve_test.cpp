@@ -17,6 +17,8 @@
 
 #include "core/project.hpp"
 #include "core/response.hpp"
+#include "core/run_options.hpp"
+#include "core/run_report.hpp"
 #include "obs/json.hpp"
 #include "pnml/ezspec_io.hpp"
 #include "serve/cache.hpp"
@@ -111,29 +113,52 @@ TEST(Digest, CanonicalizationCollapsesFormattingOnly) {
   EXPECT_NE(a.value().digest.hex(), c.value().digest.hex());
 }
 
+/// The flat `"name":{...}` section of a run report.
+std::string report_section(const std::string& report, const std::string& name) {
+  const std::size_t at = report.find("\"" + name + "\":{");
+  EXPECT_NE(at, std::string::npos) << name;
+  return report.substr(at, report.find('}', at) - at);
+}
+
+/// The model and options sections of the report of a run with `options`.
+std::string echoed_options(const core::RunOptions& options) {
+  spec::Specification specification = workload::mine_pump_specification();
+  options.apply_to(specification);
+  core::Project project(std::move(specification), options.build,
+                        options.scheduler);
+  EXPECT_TRUE(project.build().ok());
+  const std::string report = core::run_report_json(project, nullptr);
+  return report_section(report, "model") + report_section(report, "options");
+}
+
 TEST(Digest, EveryOptionKnobMovesTheFingerprint) {
-  const ServeRequest base;
-  const auto baseline = option_fingerprint(base);
-  std::vector<ServeRequest> variants(10, base);
-  variants[0].complete = true;
-  variants[1].optimize = "makespan";
-  variants[2].engine = sched::SearchEngine::kBestFirst;
-  variants[3].state_classes = sched::StateClassMode::kOff;
-  variants[4].max_states = base.max_states + 1;
-  variants[5].threads = 2;
-  variants[6].beam_width = 9;
-  variants[7].widen = true;
-  variants[8].paper_blocks = true;
-  variants[9].has_sync_budget = true;
-  for (const ServeRequest& variant : variants) {
-    EXPECT_NE(option_fingerprint(variant), baseline);
+  // Walks the run-option table: a non-default value of any row must show
+  // in the run report, and one of a served row must also move the cache
+  // key. A row added without its wiring fails here.
+  const core::RunOptions defaults;
+  const std::string baseline = echoed_options(defaults);
+  const auto base_key = option_fingerprint(ServeRequest{});
+  for (const core::RunOption& row : core::run_options()) {
+    core::RunOptions options;
+    const std::uint64_t word =
+        row.get(defaults) == row.min + 1 ? row.min + 2 : row.min + 1;
+    ASSERT_TRUE(core::set_word(options, row, word, row.name).ok())
+        << row.name;
+    core::resolve(options);
+    EXPECT_NE(echoed_options(options), baseline) << row.name;
+    ServeRequest request;
+    request.options = options;
+    if (row.served) {
+      EXPECT_NE(option_fingerprint(request), base_key) << row.name;
+    } else {
+      EXPECT_EQ(option_fingerprint(request), base_key) << row.name;
+    }
   }
-  // The budget value itself, once an override is present.
-  ServeRequest budgeted = base;
-  budgeted.has_sync_budget = true;
-  budgeted.sync_budget = 3;
-  ServeRequest rebudgeted = budgeted;
-  rebudgeted.sync_budget = 4;
+  // The override value itself, once one is present.
+  ServeRequest budgeted;
+  budgeted.options.sync_budget = 3;
+  ServeRequest rebudgeted;
+  rebudgeted.options.sync_budget = 4;
   EXPECT_NE(option_fingerprint(budgeted), option_fingerprint(rebudgeted));
 }
 
@@ -394,6 +419,46 @@ TEST(Request, RejectsUnknownOptionsAndBadShapes) {
   must_fail(R"({"op":"schedule","spec":"x","options":{"engine":"warp"}})");
   must_fail(
       R"({"op":"schedule","spec":"x","options":{"max_states":-1}})");
+  // Only the served rows, in their serve spelling, with the right type.
+  must_fail(R"({"op":"schedule","spec":"x","options":{"max-states":1}})");
+  must_fail(R"({"op":"schedule","spec":"x","options":{"wall_limit":1}})");
+  must_fail(R"({"op":"schedule","spec":"x","options":{"complete":1}})");
+  must_fail(R"({"op":"schedule","spec":"x","options":{"engine":1}})");
+  must_fail(R"({"op":"schedule","spec":"x","options":{"threads":"2"}})");
+  // Out of range, including values that would narrow to 32 bits.
+  must_fail(
+      R"({"op":"schedule","spec":"x","options":{"threads":4294967295}})");
+  must_fail(
+      R"({"op":"schedule","spec":"x","options":{"beam_width":4294967296}})");
+  must_fail(
+      R"({"op":"schedule","spec":"x","options":{"sync_budget":4294967296}})");
+  must_fail(R"({"op":"schedule","spec":"x","options":{"beam_width":0}})");
+}
+
+TEST(Request, MemberOrderDoesNotChangeTheRun) {
+  // JSON objects are unordered: "optimize implies complete" is applied
+  // after every option is set, whichever member came first.
+  std::vector<std::vector<std::uint64_t>> keys;
+  std::vector<std::string> echoes;
+  const char* orders[] = {
+      R"({"op":"ping","options":{"optimize":"makespan","complete":false}})",
+      R"({"op":"ping","options":{"complete":false,"optimize":"makespan"}})"};
+  for (const char* json : orders) {
+    auto request = parse_request(parse_json(json).value());
+    ASSERT_TRUE(request.ok()) << json;
+    request.value().spec_text =
+        pnml::write_ezspec(workload::mine_pump_specification()).value();
+    auto prepared = prepare_request(request.value());
+    ASSERT_TRUE(prepared.ok());
+    core::Project project(std::move(prepared.value().specification),
+                          prepared.value().build, prepared.value().scheduler);
+    echoes.push_back(
+        report_section(core::run_report_json(project, nullptr), "options"));
+    keys.push_back(option_fingerprint(request.value()));
+  }
+  EXPECT_EQ(keys[0], keys[1]);
+  EXPECT_EQ(echoes[0], echoes[1]);
+  EXPECT_NE(echoes[0].find("\"pruning\":\"none\""), std::string::npos);
 }
 
 // ------------------------------------------------------------ socket e2e
@@ -580,6 +645,35 @@ TEST_F(ServeTest, PingStatsAndInvalidPayloads) {
       server.endpoint(), schedule_request("<system name='x'/>", "s"));
   EXPECT_EQ(bad_spec.find("status")->string, "invalid");
   EXPECT_EQ(bad_spec.find("code")->uint_value, 4u);
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST_F(ServeTest, OutOfRangeOptionIsInvalidAndTheServerKeepsServing) {
+  ServerOptions options;
+  options.endpoint = endpoint("range");
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+
+  // A thread count the pool cannot size is refused at parse time, never
+  // handed to a worker.
+  obs::JsonWriter w;
+  w.begin_object();
+  w.member("op", "schedule");
+  w.key("options").begin_object();
+  w.member("threads", std::uint64_t{4294967295});
+  w.end_object();
+  w.member("spec", mine_pump_);
+  w.end_object();
+  const JsonValue response = roundtrip(server.endpoint(), w.take());
+  EXPECT_EQ(response.find("status")->string, "invalid");
+  EXPECT_EQ(response.find("code")->uint_value, 4u);
+  EXPECT_NE(response.find("error")->string.find("threads"), std::string::npos);
+  EXPECT_EQ(roundtrip(server.endpoint(), R"({"op":"ping"})")
+                .find("status")
+                ->string,
+            "ok");
 
   server.shutdown();
   server.wait();

@@ -4,13 +4,11 @@
 #include <array>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "base/assert.hpp"
 #include "base/hash.hpp"
-#include "sched/fingerprint.hpp"
 #include "sched/guided.hpp"
 #include "sched/parallel.hpp"
 #include "sched/search_kernel.hpp"
@@ -19,8 +17,6 @@ namespace ezrt::sched {
 
 namespace {
 
-using tpn::State;
-
 /// Branch-and-bound over the same expansion: explore exhaustively, keep
 /// the cheapest schedule, prune branches whose monotone partial cost
 /// already reaches the incumbent. Cost edges:
@@ -28,17 +24,15 @@ using tpn::State;
 ///   kMinimizeSwitches — 1 whenever a compute firing belongs to a
 ///     different task than the previous compute firing on the same
 ///     processor (per-core context switches).
-/// Its table keeps the best cost per state and readmits a state reached
-/// more cheaply, which a set cannot express, so it has its own loop around
-/// the shared guard, miss test, progress and fold. For switches every
-/// core's previous-compute task is part of the state key: equal (m,c)
-/// with different running tasks have different futures.
+/// A stack frontier over the shared admission step, whose best-cost table
+/// readmits a state reached more cheaply. For switches every core's
+/// previous-compute task salts the state key: equal (m,c) with different
+/// running tasks have different futures.
 SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
                                const SchedulerOptions& options,
                                const GoalPredicate& goal) {
   SearchShared shared(net, options, goal, 0);
   SearchWorker w(shared, 0);
-  SearchStats& stats = w.stats;
   SearchOutcome out;
   const bool switches = options.objective == Objective::kMinimizeSwitches;
 
@@ -70,117 +64,81 @@ SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
 
   struct BbFrame : Frame {
     std::uint64_t cost = 0;
-    /// Previous compute firing's task per core (empty unless switches).
+    /// Previous compute firing's task per core (empty unless switches),
+    /// and its Zobrist hash: one cell per core that ran a task.
     std::vector<TaskId> last_compute;
+    std::uint64_t salt = 0;
+  };
+  auto cell = [](std::uint32_t core, TaskId task) {
+    return task.valid() ? hash_cell(core, task.value(), kHashSeed) : 0;
   };
 
-  std::unordered_map<Fingerprint, std::uint64_t, FingerprintHash> best_seen;
-  auto table_bytes = [&] {
-    return node_container_bytes(best_seen,
-                                sizeof(Fingerprint) + sizeof(std::uint64_t));
-  };
-  std::vector<BbFrame> stack;
-  Trace current;
+  std::vector<BbFrame> stack(1);
+  Trace path;  // events entering stack frames 1..n
   Trace best_trace;
   std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
-
-  auto key_of = [&](const State& s, const std::vector<TaskId>& last) {
-    Fingerprint f = fingerprint(s);
-    for (TaskId l : last) {
-      f.b = hash_mix(f.b, l.valid() ? l.value() + 1 : 0);
-    }
-    return f;
-  };
-
-  BbFrame root;
-  root.state = State::initial(net);
-  w.expander.expand(root.state, root.candidates);
-  if (switches) {
-    root.last_compute.assign(proc_count, TaskId());
-  }
-  best_seen.emplace(key_of(root.state, root.last_compute), 0);
-  stats.states_visited = 1;
-  if (goal(std::as_const(root.state).marking())) {
-    best_cost = 0;
-    out.solutions_found = 1;
-  } else {
-    stack.push_back(std::move(root));
-  }
-
   // A guard verdict or the state budget; either way the incumbent found
   // so far (if any) is still returned.
   std::optional<SearchStatus> stop;
+  if (switches) {
+    stack[0].last_compute.assign(proc_count, TaskId());
+  }
+  if (w.admit_root(stack[0]) == Admit::kFinal) {
+    if (w.status == SearchStatus::kFeasible) {
+      best_cost = 0;
+      out.solutions_found = 1;
+    } else {
+      stop = w.status;
+    }
+    stack.clear();
+  }
+
   while (!stack.empty()) {
-    BbFrame& frame = stack.back();
-    stats.max_depth = std::max<std::uint64_t>(stats.max_depth, stack.size());
-    if (frame.next >= frame.candidates.size()) {
-      w.retire(std::move(frame.candidates));
+    BbFrame& top = stack.back();
+    if (top.next >= top.candidates.size()) {
+      path.resize(top.edge_at);
+      w.retire(std::move(top.candidates));
       stack.pop_back();
-      if (!current.empty()) {
-        current.pop_back();
-      }
-      ++stats.backtracks;
+      ++w.stats.backtracks;
       continue;
     }
-    const Candidate cand = frame.candidates[frame.next++];
-    const tpn::Transition& fired = net.transition(cand.fireable.transition);
-
-    std::uint64_t edge_cost = cand.delay;
-    std::vector<TaskId> last_compute = frame.last_compute;
-    if (switches) {
-      edge_cost = 0;
-      if (fired.role == tpn::TransitionRole::kCompute) {
-        const std::uint32_t core = proc_of[cand.fireable.transition.value()];
-        edge_cost = fired.task == last_compute[core] ? 0 : 1;
-        last_compute[core] = fired.task;
-      }
+    const Candidate cand = top.candidates[top.next++];
+    const TransitionId t = cand.fireable.transition;
+    BbFrame child{{{}, w.buffer()}, top.cost, top.last_compute, top.salt};
+    if (!switches) {
+      child.cost += cand.delay;
+    } else if (net.transition(t).role == tpn::TransitionRole::kCompute) {
+      const TaskId task = net.transition(t).task;
+      const std::uint32_t core = proc_of[t.value()];
+      TaskId& last = child.last_compute[core];
+      child.cost += task == last ? 0 : 1;
+      child.salt ^= cell(core, last) ^ cell(core, task);
+      last = task;
     }
-    const std::uint64_t cost = frame.cost + edge_cost;
-    if (cost >= best_cost) {
+    if (child.cost >= best_cost) {
+      w.retire(std::move(child.candidates));
       continue;  // cannot improve the incumbent
     }
-
-    State next = w.expander.fire(frame.state, cand);
-    ++stats.transitions_fired;
-    stop = w.poll_guard(
-        [&] { return table_bytes() + stack.size() * shared.frame_bytes; });
-    if (stop.has_value()) {
-      break;
-    }
-    if (shared.has_miss(std::as_const(next).marking())) {
-      ++stats.pruned_deadline;
-      w.attribution.record_deadline(std::as_const(next).marking());
+    w.cost = child.cost;
+    w.salt = child.salt;
+    const Admit r = w.admit(top, cand, stack.size(), child);
+    if (r == Admit::kAdmitted) {
+      child.edge_at = path.size();
+      path.insert(path.end(), w.edge.begin(), w.edge.end());
+      stack.push_back(std::move(child));
       continue;
     }
-    auto [it, inserted] =
-        best_seen.try_emplace(key_of(next, last_compute), cost);
-    if (!inserted) {
-      if (it->second <= cost) {
-        ++stats.pruned_visited;
-        continue;
+    w.retire(std::move(child.candidates));
+    if (r == Admit::kFinal) {
+      if (w.status != SearchStatus::kFeasible) {
+        stop = w.status;
+        break;
       }
-      it->second = cost;  // re-admitted more cheaply: re-expanded
-    }
-    ++stats.states_visited;
-    w.publish(stats.states_visited, stack.size());
-
-    current.push_back(FiringEvent{cand.fireable.transition, cand.delay,
-                                  next.elapsed()});
-    if (goal(std::as_const(next).marking())) {
-      best_cost = cost;
-      best_trace = current;
+      best_cost = child.cost;
+      best_trace = path;
+      best_trace.insert(best_trace.end(), w.edge.begin(), w.edge.end());
       ++out.solutions_found;
-      current.pop_back();
-      continue;
     }
-    if (options.max_states != 0 && stats.states_visited >= options.max_states) {
-      stop = SearchStatus::kLimitReached;
-      break;
-    }
-    BbFrame child{{std::move(next), w.buffer()}, cost,
-                  std::move(last_compute)};
-    w.expander.expand(child.state, child.candidates);
-    stack.push_back(std::move(child));
   }
 
   out.status = stop.value_or(SearchStatus::kInfeasible);
@@ -189,7 +147,7 @@ SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
     out.trace = std::move(best_trace);
     out.best_cost = best_cost;
   }
-  shared.fold(out, std::array{&w}, table_bytes());
+  shared.fold(out, std::array{&w});
   return out;
 }
 
@@ -287,16 +245,16 @@ SearchOutcome DfsScheduler::search() const {
   SearchOutcome out;
   WorkItem root;
   out.status = w.admit_root(root.frame) == Admit::kFinal
-                   ? SearchStatus::kFeasible
+                   ? w.status
                    : w.run_stack(root, [](const WorkItem&) { return true; })
                          .value_or(SearchStatus::kInfeasible);
   out.trace = std::move(w.trace);  // set by a goal only
-  shared.fold(out, std::array{&w}, shared.visited->memory_bytes());
+  shared.fold(out, std::array{&w});
   return out;
 }
 
 Result<tpn::State> DfsScheduler::replay(const Trace& trace) const {
-  State s = State::initial(*net_);
+  tpn::State s = tpn::State::initial(*net_);
   for (const FiringEvent& event : trace) {
     auto next = semantics_.try_fire(s, event.transition, event.delay);
     if (!next.ok()) {

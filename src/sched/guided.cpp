@@ -54,8 +54,7 @@ class GuidedSearch {
                      ? best_first()
                      : beam();
     out.trace = std::move(trace_);  // set by a goal only
-    shared_.fold(out, std::array{&w_},
-                 std::max(peak_bytes_, shared_.visited->memory_bytes()));
+    shared_.fold(out, std::array{&w_}, peak_bytes_);
     return out;
   }
 
@@ -67,7 +66,8 @@ class GuidedSearch {
                  node};
   }
 
-  /// Starts a fresh arena at s0; false when s0 is already the goal.
+  /// Starts a fresh arena at s0; false when s0 ends the search (the goal
+  /// or the state budget, in w_.status).
   bool admit_root() {
     nodes_.assign(1, Frame{});
     edges_.clear();
@@ -124,7 +124,7 @@ class GuidedSearch {
 
   SearchStatus best_first() {
     if (!admit_root()) {
-      return SearchStatus::kFeasible;
+      return w_.status;
     }
     std::priority_queue<Entry, std::vector<Entry>, EntryWorse> open;
     open.push(entry(0));
@@ -147,7 +147,7 @@ class GuidedSearch {
         std::max<std::uint32_t>(1, shared_.options.beam_width);
     for (;;) {
       if (!admit_root()) {
-        return SearchStatus::kFeasible;
+        return w_.status;
       }
       bool dropped = false;
       std::vector<Entry> level{entry(0)};

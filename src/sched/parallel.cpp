@@ -160,7 +160,7 @@ class ParallelSearch {
         // Worker 0 runs s0 itself; its peers park until it donates.
         WorkItem root;
         if (w.admit_root(root.frame) == Admit::kFinal) {
-          conclude(SearchStatus::kFeasible);
+          conclude(w.status);
         } else {
           search(root);
         }
@@ -223,7 +223,7 @@ SearchOutcome ParallelSearch::run() {
   if (out.status == SearchStatus::kFeasible) {
     out.trace = std::move(winning_);
   }
-  shared_.fold(out, views, shared_.visited->memory_bytes());
+  shared_.fold(out, views);
   for (std::size_t i = 0; i < out.telemetry.workers.size(); ++i) {
     out.telemetry.workers[i].steals = pool_.stats(i).steals;
     out.telemetry.workers[i].idle_transitions =

@@ -1,11 +1,12 @@
 #include "sched/reachability.hpp"
 
-#include <chrono>
-#include <deque>
+#include <algorithm>
+#include <array>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "base/assert.hpp"
-#include "sched/guards.hpp"
 #include "sched/search_kernel.hpp"
 
 namespace ezrt::sched {
@@ -29,110 +30,87 @@ const char* to_string(ReachabilityStop stop) {
 ReachabilityResult explore(const tpn::TimePetriNet& net,
                            const ReachabilityOptions& options) {
   EZRT_CHECK(net.validated(), "explore requires a validated net");
-  const tpn::Semantics semantics(net);
+  // The scheduler's complete mode with POR and state classes off: every
+  // fireable transition at its earliest time, keyed on concrete states.
+  const SchedulerOptions scheduler{
+      .pruning = PruningMode::kNone,
+      .partial_order_reduction = false,
+      .state_classes = StateClassMode::kOff,
+      .max_states = options.max_states,
+      .wall_limit_ms = options.wall_limit_ms,
+      .memory_limit_bytes = options.memory_limit_bytes,
+      .cancel = options.cancel,
+      .progress = options.progress};
+  // The goal is an observer: the kernel shows it every admitted state
+  // once, and it never ends the exploration.
   ReachabilityResult result;
+  const GoalPredicate observe = [&](const tpn::Marking& m) {
+    for (const std::uint32_t tokens : m.tokens()) {
+      result.bound = std::max(result.bound, tokens);
+    }
+    result.final_reachable |= tpn::is_final_marking(net, m);
+    return false;
+  };
+  auto dead_end = [&](const Frame& f) {
+    return f.candidates.empty() &&
+           !tpn::is_final_marking(net, f.state.marking());
+  };
+  SearchShared shared(net, scheduler, observe, 0);
+  SearchWorker w(shared, 0);
 
-  // The search engines' guard, table and key, built from the same ceiling
-  // values: the key is the Zobrist digest Semantics::fire maintains.
-  const ResourceGuard guard(
-      {.wall_limit_ms = options.wall_limit_ms,
-       .memory_limit_bytes = options.memory_limit_bytes,
-       .cancel = options.cancel},
-      std::chrono::steady_clock::now());
-  const std::uint64_t state_bytes = estimated_frame_bytes(net);
-  CasVisitedSet visited(1, 1);
-  std::deque<tpn::State> frontier;
-
-  // BFS has no notion of prunes, so the duplicate-hit count stands in,
-  // and the frontier size feeds both the depth and queue gauges.
-  std::uint64_t duplicates = 0;
-  ProgressCursor progress{options.progress};
-  if (options.progress != nullptr) {
-    options.progress->publish(0, 0, 0, 0);  // the cursor adds growth
+  // A level frontier: each depth is admitted whole before the next.
+  std::vector<Frame> level(1);
+  std::vector<Frame> next;
+  std::optional<SearchStatus> stop;
+  if (w.admit_root(level[0]) == Admit::kFinal) {
+    stop = w.status;
   }
-  auto publish_queue = [&] {
+  result.deadlock_found = !stop && dead_end(level[0]);
+  while (!stop && !level.empty()) {
     if constexpr (obs::kTelemetryEnabled) {
-      options.progress->queue.store(frontier.size(),
-                                    std::memory_order_relaxed);
-    }
-  };
-  auto stop = [&](ReachabilityStop why) {
-    result.stop = why;
-    result.complete = why == ReachabilityStop::kComplete;
-    if (options.progress != nullptr) {
-      options.progress->publish(result.states_explored,
-                                result.transitions_fired, duplicates,
-                                frontier.size());
-      publish_queue();
-    }
-    return result;
-  };
-
-  auto observe = [&](const tpn::State& s) {
-    for (PlaceId p : net.place_ids()) {
-      result.bound = std::max(result.bound, s.marking()[p]);
-    }
-    if (tpn::is_final_marking(net, s.marking())) {
-      result.final_reachable = true;
-    }
-  };
-
-  tpn::State s0 = tpn::State::initial(net);
-  visited.insert(s0.digest(), 0);
-  observe(s0);
-  frontier.push_back(std::move(s0));
-  result.states_explored = 1;
-
-  while (!frontier.empty()) {
-    result.peak_frontier =
-        std::max<std::uint64_t>(result.peak_frontier, frontier.size());
-    const tpn::State s = std::move(frontier.front());
-    frontier.pop_front();
-
-    const auto fireable = semantics.fireable(s, /*priority_filter=*/false);
-    if (fireable.empty()) {
-      if (!tpn::is_final_marking(net, s.marking()) &&
-          !tpn::has_deadline_miss(net, s.marking())) {
-        result.deadlock_found = true;
+      if (options.progress != nullptr) {
+        options.progress->queue.store(level.size(),
+                                      std::memory_order_relaxed);
       }
-      continue;
     }
-
-    for (const tpn::FireableTransition& f : fireable) {
-      tpn::State next = semantics.fire(s, f.transition, f.earliest);
-      ++result.transitions_fired;
-      if (const auto tripped = guard.check(result.transitions_fired, [&] {
-            return visited.memory_bytes() + frontier.size() * state_bytes;
-          })) {
-        return stop(*tripped == SearchStatus::kCancelled
-                        ? ReachabilityStop::kCancelled
-                    : *tripped == SearchStatus::kTimeLimit
-                        ? ReachabilityStop::kTimeLimit
-                        : ReachabilityStop::kMemoryLimit);
+    for (std::size_t i = 0; i < level.size() && !stop; ++i) {
+      const std::size_t frontier = level.size() - i + next.size();
+      result.peak_frontier =
+          std::max<std::uint64_t>(result.peak_frontier, frontier);
+      for (const Candidate& cand : level[i].candidates) {
+        Frame child{{}, w.buffer()};
+        const Admit r = w.admit(level[i], cand, frontier, child);
+        if (r == Admit::kAdmitted) {
+          result.deadlock_found |= dead_end(child);
+          next.push_back(std::move(child));
+          continue;
+        }
+        w.retire(std::move(child.candidates));
+        if (r == Admit::kFinal) {
+          stop = w.status;
+          break;
+        }
       }
-      if (!visited.insert(std::as_const(next).digest(), 0)) {
-        ++duplicates;
-        continue;
-      }
-      ++result.states_explored;
-      observe(next);
-      if (progress.publish(result.states_explored, result.transitions_fired,
-                           duplicates, frontier.size())) {
-        publish_queue();
-      }
-      if (tpn::has_deadline_miss(net, next.marking())) {
-        // Observed but not expanded, mirroring the scheduler's pruning.
-        result.miss_reachable = true;
-        continue;
-      }
-      if (options.max_states != 0 &&
-          result.states_explored >= options.max_states) {
-        return stop(ReachabilityStop::kStateBudget);
-      }
-      frontier.push_back(std::move(next));
+      w.retire(std::move(level[i].candidates));
+      level[i].state = {};  // expanded: free it before the level ends
     }
+    level.swap(next);
+    next.clear();
   }
-  return stop(ReachabilityStop::kComplete);
+
+  SearchOutcome out;
+  shared.fold(out, std::array{&w});
+  result.states_explored = out.stats.states_visited;
+  result.transitions_fired = out.stats.transitions_fired;
+  result.miss_reachable = out.stats.pruned_deadline > 0;
+  result.complete = !stop;
+  using enum ReachabilityStop;
+  result.stop = !stop ? kComplete
+                : *stop == SearchStatus::kLimitReached ? kStateBudget
+                : *stop == SearchStatus::kTimeLimit    ? kTimeLimit
+                : *stop == SearchStatus::kMemoryLimit  ? kMemoryLimit
+                                                       : kCancelled;
+  return result;
 }
 
 }  // namespace ezrt::sched

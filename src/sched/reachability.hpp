@@ -1,10 +1,12 @@
 // Bounded reachability analysis over the TLTS.
 //
 // Besides schedule synthesis, ezRealtime advertises property checking on
-// the composed model. This analyzer enumerates the reachable timed state
-// space breadth-first — under the same earliest-firing discretization the
-// scheduler's complete mode searches — and reports the properties a
-// specifier cares about before synthesis:
+// the composed model. This analyzer is the scheduler's explorer run
+// breadth-first: a level frontier over the shared admission step
+// (sched/search_kernel.hpp) in the scheduler's complete mode with
+// partial-order reduction and state classes off, i.e. the same
+// earliest-firing discretization. It reports the properties a specifier
+// cares about before synthesis:
 //
 //   * final_reachable  — M_F is reachable at all (necessary and, in this
 //     discretization, sufficient for the DFS to find a schedule);
@@ -17,9 +19,13 @@
 //   * bound            — the largest token count observed in any place
 //     (the built models are bounded by construction; this verifies it).
 //
-// Exploration continues through miss markings (they are observations,
-// not sinks) but does not expand them further — mirroring the
-// scheduler's pruning.
+// A miss marking is a deadline prune, exactly as in the scheduler: it is
+// neither counted in states_explored nor expanded, and miss_reachable
+// says that at least one was pruned. The goal does not stop the
+// exploration; the final state counts and expands like any other. So an
+// exhausted exploration of an infeasible model admits the same states
+// and fires the same edges as the complete DFS with classes and
+// partial-order reduction off.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +56,8 @@ struct ReachabilityOptions {
   std::uint64_t memory_limit_bytes = 0;
   /// Cooperative cancellation (base/cancel.hpp). Null = off.
   const base::CancelToken* cancel = nullptr;
-  /// Live progress gauges (obs/progress.hpp), same masked publish cadence
-  /// as the search engines; the frontier size feeds the queue gauge.
+  /// Live progress gauges (obs/progress.hpp), published by the search
+  /// kernel like every engine's; depth is the level and queue its size.
   /// Null = off.
   obs::ProgressSink* progress = nullptr;
 };
@@ -70,7 +76,7 @@ enum class ReachabilityStop : std::uint8_t {
 [[nodiscard]] const char* to_string(ReachabilityStop stop);
 
 struct ReachabilityResult {
-  std::uint64_t states_explored = 0;
+  std::uint64_t states_explored = 0;  ///< admitted states, misses excluded
   std::uint64_t transitions_fired = 0;
   bool complete = false;  ///< the whole (pruned) space fit under the bound
   ReachabilityStop stop = ReachabilityStop::kComplete;

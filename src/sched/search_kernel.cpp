@@ -18,9 +18,14 @@ SearchShared::SearchShared(const tpn::TimePetriNet& net,
                   std::max<std::uint32_t>(1, threads)) {
   // One shard keeps a serial search's table set-up small; the parallel
   // engine spreads its inserts over four shards per thread (at least 16).
-  visited.emplace(
-      threads == 0 ? 1 : std::max<std::size_t>(16, std::size_t{threads} * 4),
-      std::max<std::uint32_t>(1, threads));
+  if (options.objective == Objective::kFirstFeasible) {
+    visited.emplace(threads == 0 ? 1
+                                 : std::max<std::size_t>(
+                                       16, std::size_t{threads} * 4),
+                    std::max<std::uint32_t>(1, threads));
+  } else {
+    costs.emplace();
+  }
   for (PlaceId p : net.place_ids()) {
     const tpn::PlaceRole role = net.place(p).role;
     if (role == tpn::PlaceRole::kMissPending ||
@@ -36,12 +41,13 @@ SearchShared::SearchShared(const tpn::TimePetriNet& net,
 
 void SearchShared::fold(SearchOutcome& out,
                         std::span<SearchWorker* const> workers,
-                        std::uint64_t table_bytes) const {
+                        std::uint64_t retired_bytes) const {
+  const std::uint64_t peak_bytes = std::max(retired_bytes, table_bytes());
   SearchStats& s = out.stats;
   for (SearchWorker* w : workers) {
     SearchStats& ws = w->stats;
     ws.pruned_priority = w->expander.counters().pruned_priority;
-    ws.peak_visited_bytes = table_bytes;
+    ws.peak_visited_bytes = peak_bytes;
     s.states_visited += ws.states_visited;
     s.transitions_fired += ws.transitions_fired;
     s.backtracks += ws.backtracks;
@@ -55,7 +61,7 @@ void SearchShared::fold(SearchOutcome& out,
     s.max_depth = std::max(s.max_depth, ws.max_depth);
     out.attribution.merge(w->attribution.counters());
   }
-  s.peak_visited_bytes = table_bytes;
+  s.peak_visited_bytes = peak_bytes;
   s.elapsed_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
@@ -95,15 +101,17 @@ SearchWorker::SearchWorker(SearchShared& shared, std::uint32_t tid,
 Admit SearchWorker::admit_root(Frame& root) {
   root.state = tpn::State::initial(shared.net);
   const tpn::State& s0 = root.state;
-  shared.visited->insert(
-      shared.classes_on
-          ? shared.classifier.canonical_digest(s0, shared.semantics).digest
-          : s0.digest(),
-      tid);
+  claim(shared.classes_on
+            ? shared.classifier.canonical_digest(s0, shared.semantics).digest
+            : s0.digest());
   ++stats.states_visited;
-  shared.states.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t n =
+      shared.states.fetch_add(1, std::memory_order_relaxed) + 1;
   if (shared.goal(s0.marking())) {
     return conclude(SearchStatus::kFeasible);
+  }
+  if (budget_spent(n)) {
+    return conclude(SearchStatus::kLimitReached);
   }
   expander.expand(s0, root.candidates);
   if (heuristic_) {
@@ -131,7 +139,7 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
     edge.push_back(
         FiringEvent{cand.fireable.transition, cand.delay, s.elapsed()});
     if (auto tripped = poll_guard([&] {
-          return shared.visited->memory_bytes() + frames * shared.frame_bytes;
+          return shared.table_bytes() + frames * shared.frame_bytes;
         })) {
       return conclude(*tripped);
     }
@@ -168,7 +176,7 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
     ++stats.transitions_fired;
   }
 
-  if (!shared.visited->insert(key.digest, tid)) {
+  if (!claim(key.digest)) {
     ++stats.pruned_visited;
     return Admit::kPruned;
   }
@@ -180,7 +188,7 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
   if (!shared.classes_on && shared.goal(s.marking())) {
     return conclude(SearchStatus::kFeasible);
   }
-  if (shared.options.max_states != 0 && n >= shared.options.max_states) {
+  if (budget_spent(n)) {
     return conclude(SearchStatus::kLimitReached);
   }
   if (!shared.classes_on) {
@@ -192,6 +200,11 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
   }
   stats.max_depth = std::max(stats.max_depth, child.depth);
   return Admit::kAdmitted;
+}
+
+bool SearchWorker::claim_cheaper(tpn::StateDigest key) {
+  key.a ^= salt;
+  return shared.costs->claim(key, cost);
 }
 
 }  // namespace ezrt::sched

@@ -1,18 +1,20 @@
-// The admission step every first-feasible search engine shares
-// (docs/search.md, "Admission step and frontiers"): the work done on each
-// fired successor before it joins the frontier,
+// The admission step every search engine shares (docs/search.md,
+// "Admission step and frontiers"): the work done on each fired successor
+// before it joins the frontier,
 //
 //   fire -> guard -> miss -> [class keys: goal -> doom -> key -> corridor]
-//        -> visited insert -> count + progress -> [concrete keys: goal]
+//        -> visited claim -> count + progress -> [concrete keys: goal]
 //        -> state budget -> expand
 //
 // is SearchWorker::admit. An engine is only the frontier that picks which
-// admitted state expands next: a stack (serial DFS, and each parallel
-// worker with a pool around it), a heap (best-first) or a level vector
-// (beam). The order depends only on the key mode, never on the engine, so
-// counts agree across engines. Every engine keys one CasVisitedSet: the
-// serial ones with one shard and one thread slot, the parallel engine
-// sharded per thread.
+// admitted state expands next: a stack (serial DFS, each parallel worker
+// with a pool around it, and branch-and-bound with its cost bound), a
+// heap (best-first) or a level vector (beam, and `reach` with no width
+// bound). The order depends only on the key mode, never on the engine, so
+// counts agree across engines. The visited table follows the objective:
+// the first-feasible engines key one CasVisitedSet (the serial ones with
+// one shard and one thread slot, the parallel engine sharded per thread),
+// and the optimizing objectives claim keys in a BestCostTable.
 #pragma once
 
 #include <algorithm>
@@ -49,11 +51,10 @@ struct ProgressCursor {
   std::uint64_t fired = 0;
   std::uint64_t pruned = 0;
 
-  /// Returns true when this call published.
-  bool publish(std::uint64_t states, std::uint64_t fired_now,
+  void publish(std::uint64_t states, std::uint64_t fired_now,
                std::uint64_t pruned_now, std::uint64_t depth) {
     if (sink == nullptr || (states & obs::ProgressSink::kPublishMask) != 0) {
-      return false;
+      return;
     }
     if constexpr (obs::kTelemetryEnabled) {
       sink->states.store(states, std::memory_order_relaxed);
@@ -64,7 +65,6 @@ struct ProgressCursor {
     }
     fired = fired_now;
     pruned = pruned_now;
-    return true;
   }
 };
 
@@ -108,11 +108,12 @@ class SearchShared {
                        [&](PlaceId p) { return m[p] > 0; });
   }
 
-  /// Folds the workers' statistics, attribution and telemetry into `out`
-  /// with `table_bytes` as the table footprint, stamps the wall clock and
-  /// publishes the exact totals. Call after the workers stopped.
+  /// Folds the workers' statistics, attribution and telemetry into `out`,
+  /// stamps the wall clock and publishes the exact totals. The table
+  /// footprint is the larger of the live table and `retired_bytes` (the
+  /// tables of earlier beam passes). Call after the workers stopped.
   void fold(SearchOutcome& out, std::span<SearchWorker* const> workers,
-            std::uint64_t table_bytes) const;
+            std::uint64_t retired_bytes = 0) const;
 
   const tpn::TimePetriNet& net;
   const SchedulerOptions& options;
@@ -126,8 +127,15 @@ class SearchShared {
   /// One live frame in every thread: the memory guard extrapolates a
   /// worker's frontier across the pool (the table itself is exact).
   const std::uint64_t frame_bytes;
-  std::optional<CasVisitedSet> visited;  ///< re-emplaced per beam pass
+  /// The visited table: `visited` for the first-feasible objective
+  /// (re-emplaced per beam pass), `costs` for the optimizing ones.
+  std::optional<CasVisitedSet> visited;
+  std::optional<BestCostTable> costs;
   std::atomic<std::uint64_t> states{0};  ///< admitted, across workers
+
+  [[nodiscard]] std::uint64_t table_bytes() const {
+    return costs ? costs->memory_bytes() : visited->memory_bytes();
+  }
 
  private:
   std::vector<PlaceId> miss_places_;
@@ -143,7 +151,8 @@ class alignas(64) SearchWorker {
   SearchWorker(const SearchWorker&) = delete;
   SearchWorker& operator=(const SearchWorker&) = delete;
 
-  /// Admits s0 into `root`; kFinal when s0 is already the goal.
+  /// Admits s0 into `root`; kFinal when s0 is already the goal or
+  /// spends the state budget.
   Admit admit_root(Frame& root);
 
   /// The admission step: fires `cand` from `parent` and, unless that is
@@ -211,12 +220,32 @@ class alignas(64) SearchWorker {
   Trace trace;                    ///< the schedule run_stack found
   SearchStatus status = SearchStatus::kInfeasible;  ///< of the last kFinal
   std::uint64_t donations = 0;  ///< items shared by the parallel engine
+  /// Set by an optimizing frontier before each admission: the successor's
+  /// path cost, and a salt folded into its key for state the marking and
+  /// clocks do not hold (branch-and-bound's running task per core).
+  std::uint64_t cost = 0;
+  std::uint64_t salt = 0;
 
  private:
   Admit conclude(SearchStatus s) {
     status = s;
     return Admit::kFinal;
   }
+
+  [[nodiscard]] bool budget_spent(std::uint64_t admitted) const {
+    return shared.options.max_states != 0 &&
+           admitted >= shared.options.max_states;
+  }
+
+  /// The visited step: true when `key` is admitted. The cost path stays
+  /// out of line so the set path compiles as it would without it.
+  bool claim(tpn::StateDigest key) {
+    if (shared.costs) [[unlikely]] {
+      return claim_cheaper(key);
+    }
+    return shared.visited->insert(key, tid);
+  }
+  [[gnu::noinline]] bool claim_cheaper(tpn::StateDigest key);
 
   const bool heuristic_;
   const bool guarded_;

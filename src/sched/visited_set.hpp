@@ -1,12 +1,14 @@
-// Concurrent visited set over 128-bit state digests.
+// The visited tables over 128-bit state digests.
 //
 // Every search engine keys one "have we seen this state" table on each
-// admitted state (sched/search_kernel.hpp). CasVisitedSet shards the
-// lock-free two-word-publish table (sched/lockfree_table.hpp): the hot
-// insert path is a CAS claim plus a release publish, probes are
-// lock-free, and growth is epoch-based per shard (docs/concurrency.md).
-// The serial engines use one shard and one thread slot; the parallel
-// engine shards it per worker.
+// admitted state (sched/search_kernel.hpp); which table follows the
+// objective. The first-feasible engines and `reach` use CasVisitedSet,
+// which shards the lock-free two-word-publish table
+// (sched/lockfree_table.hpp): the hot insert path is a CAS claim plus a
+// release publish, probes are lock-free, and growth is epoch-based per
+// shard (docs/concurrency.md). The serial engines use one shard and one
+// thread slot; the parallel engine shards it per worker. Branch-and-bound
+// uses BestCostTable, which also remembers the cheapest cost per key.
 //
 // Storing digests instead of full states keeps memory at 16 bytes per
 // state; the collision probability over two independent 64-bit hashes is
@@ -186,5 +188,58 @@ class CasVisitedSet {
 };
 
 }  // namespace EZRT_LOCKFREE_NS
+
+/// The optimizing objectives' visited table: the cheapest path cost per
+/// key in one flat linear-probing array. A key reached strictly more
+/// cheaply is claimed again, so branch-and-bound re-expands it. Serial.
+class BestCostTable {
+ public:
+  /// True when `key` is new or `cost` beats its recorded cost, which
+  /// `cost` then replaces.
+  bool claim(tpn::StateDigest key, std::uint64_t cost) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      std::vector<Slot> old(std::max<std::size_t>(1024, 2 * slots_.size()));
+      old.swap(slots_);
+      for (const Slot& s : old) {
+        if (s.cost != kEmpty) {
+          find(tpn::StateDigest{s.a, s.b}) = s;
+        }
+      }
+    }
+    Slot& slot = find(key);
+    if (slot.cost <= cost) {  // an empty slot's cost exceeds every path's
+      return false;
+    }
+    size_ += slot.cost == kEmpty ? 1 : 0;
+    slot = Slot{key.a, key.b, cost};
+    return true;
+  }
+
+  [[nodiscard]] std::uint64_t memory_bytes() const {
+    return slots_.size() * sizeof(Slot);
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  struct Slot {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::uint64_t cost = kEmpty;
+  };
+
+  /// The key's slot, or the empty slot where it goes.
+  Slot& find(tpn::StateDigest key) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(key.a) & mask;
+    while (slots_[i].cost != kEmpty &&
+           (slots_[i].a != key.a || slots_[i].b != key.b)) {
+      i = (i + 1) & mask;
+    }
+    return slots_[i];
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace ezrt::sched

@@ -116,6 +116,37 @@ TEST(Reachability, InfeasibleOverloadNeverReachesFinal) {
   EXPECT_TRUE(result.complete);
   EXPECT_FALSE(result.final_reachable);
   EXPECT_TRUE(result.miss_reachable);
+
+  // reach is the complete DFS with classes and POR off run as a level
+  // frontier: exhausted, both admit the same states and fire the same
+  // edges (miss states are deadline prunes in both).
+  SchedulerOptions options;
+  options.pruning = PruningMode::kNone;
+  options.partial_order_reduction = false;
+  options.state_classes = StateClassMode::kOff;
+  options.max_states = 0;
+  const SearchOutcome dfs = DfsScheduler(model.net, options).search();
+  ASSERT_EQ(dfs.status, SearchStatus::kInfeasible);
+  EXPECT_EQ(result.states_explored, dfs.stats.states_visited);
+  EXPECT_EQ(result.transitions_fired, dfs.stats.transitions_fired);
+}
+
+TEST(Reachability, PreemptiveMixCountsArePinned) {
+  // bench_optimizer's BM_Engines_DiscreteReach model. Miss states are
+  // deadline prunes, not explored states.
+  workload::WorkloadConfig config;
+  config.seed = 7;
+  config.tasks = 4;
+  config.utilization = 0.6;
+  config.preemptive_fraction = 0.75;
+  config.period_pool = {24, 48};
+  auto model = builder::build_tpn(workload::generate(config).value()).value();
+  const ReachabilityResult result = explore(model.net);
+  EXPECT_TRUE(result.complete);
+  EXPECT_TRUE(result.final_reachable);
+  EXPECT_TRUE(result.miss_reachable);
+  EXPECT_EQ(result.states_explored, 6153u);
+  EXPECT_EQ(result.transitions_fired, 13196u);
 }
 
 TEST(Reachability, BoundReflectsArrivalBanking) {

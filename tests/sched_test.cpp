@@ -9,6 +9,7 @@
 #include "base/hash.hpp"
 #include "builder/tpn_builder.hpp"
 #include "sched/dfs.hpp"
+#include "sched/reachability.hpp"
 #include "sched/schedule_table.hpp"
 #include "tpn/analysis.hpp"
 #include "workload/generator.hpp"
@@ -210,6 +211,50 @@ TEST(Dfs, MaxStatesLimit) {
   const SearchOutcome out = scheduler.search();
   EXPECT_EQ(out.status, SearchStatus::kLimitReached);
   EXPECT_LE(out.stats.states_visited, 101u);
+}
+
+TEST(Dfs, StateBudgetIsExactInEveryEngine) {
+  // A budget of N admits exactly N states: s0 counts against it too, so
+  // N = 1 stops at s0 in every engine, branch-and-bound and reach.
+  const BuiltModel pump = build(workload::mine_pump_specification());
+  std::vector<std::pair<std::string, SchedulerOptions>> rows;
+  for (const bool classes : {false, true}) {
+    for (auto& row : engine_variants(classes)) {
+      rows.push_back(std::move(row));
+    }
+  }
+  rows.emplace_back("optimize=makespan", SchedulerOptions{});
+  rows.back().second.objective = Objective::kMinimizeMakespan;
+  for (auto& [name, options] : rows) {
+    SCOPED_TRACE(name);
+    options.max_states = 1;
+    const SearchOutcome out = DfsScheduler(pump.net, options).search();
+    EXPECT_EQ(out.status, SearchStatus::kLimitReached);
+    EXPECT_EQ(out.stats.states_visited, 1u);
+  }
+  const ReachabilityResult pump_reach =
+      explore(pump.net, ReachabilityOptions{.max_states = 1});
+  EXPECT_EQ(pump_reach.stop, ReachabilityStop::kStateBudget);
+  EXPECT_EQ(pump_reach.states_explored, 1u);
+
+  // Every budget on a model whose miss states used to land on the
+  // boundary: a stop on the budget has admitted exactly that many states.
+  workload::WorkloadConfig config;
+  config.seed = 1;
+  config.tasks = 4;
+  config.utilization = 0.6;
+  config.period_pool = {20, 40};
+  const BuiltModel model = build(workload::generate(config).value());
+  for (std::uint64_t n = 1; n < 600; ++n) {
+    const ReachabilityResult r =
+        explore(model.net, ReachabilityOptions{.max_states = n});
+    if (r.stop == ReachabilityStop::kStateBudget) {
+      EXPECT_EQ(r.states_explored, n) << "max_states " << n;
+    } else {
+      EXPECT_TRUE(r.complete) << "max_states " << n;
+      EXPECT_LT(r.states_explored, n) << "max_states " << n;
+    }
+  }
 }
 
 TEST(Dfs, AllInDomainFindsDelayedFiring) {
@@ -733,6 +778,48 @@ TEST(Optimize, MakespanNeverWorseThanFirstFeasible) {
     const SearchOutcome best = DfsScheduler(model.net, optimal).search();
     ASSERT_EQ(best.status, SearchStatus::kFeasible) << "seed " << seed;
     EXPECT_LE(best.best_cost, baseline.trace.back().at) << "seed " << seed;
+  }
+}
+
+TEST(Optimize, PreemptiveMixEffortIsPinned) {
+  // bench_optimizer's preemptive mixes, complete and unbudgeted: cost,
+  // incumbents and effort of each objective.
+  struct Row {
+    std::uint64_t seed;
+    Objective objective;
+    std::uint64_t cost, solutions, states, fired;
+  };
+  const Row rows[] = {
+      {3, Objective::kMinimizeSwitches, 6, 2, 3753, 6539},
+      {3, Objective::kMinimizeMakespan, 30, 1, 1987, 3610},
+      {8, Objective::kMinimizeSwitches, 6, 4, 12502, 22982},
+      {8, Objective::kMinimizeMakespan, 32, 1, 3871, 7629},
+      {11, Objective::kMinimizeSwitches, 6, 2, 19311, 37806},
+      {11, Objective::kMinimizeMakespan, 37, 1, 8036, 16929},
+      {5, Objective::kMinimizeMakespan, 28, 1, 21298, 41424},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE("seed " + std::to_string(row.seed) +
+                 (row.objective == Objective::kMinimizeSwitches
+                      ? " switches"
+                      : " makespan"));
+    workload::WorkloadConfig config;
+    config.seed = row.seed;
+    config.tasks = 4;
+    config.utilization = 0.6;
+    config.preemptive_fraction = 0.75;
+    config.period_pool = {24, 48};
+    const BuiltModel model = build(workload::generate(config).value());
+    SchedulerOptions options;
+    options.pruning = PruningMode::kNone;
+    options.max_states = 0;
+    options.objective = row.objective;
+    const SearchOutcome out = DfsScheduler(model.net, options).search();
+    ASSERT_EQ(out.status, SearchStatus::kFeasible);
+    EXPECT_EQ(out.best_cost, row.cost);
+    EXPECT_EQ(out.solutions_found, row.solutions);
+    EXPECT_EQ(out.stats.states_visited, row.states);
+    EXPECT_EQ(out.stats.transitions_fired, row.fired);
   }
 }
 

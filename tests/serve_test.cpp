@@ -736,6 +736,44 @@ TEST_F(ServeTest, OverloadBurstShedsWithStructuredResponses) {
   Server server(std::move(options));
   ASSERT_TRUE(server.start().ok());
 
+  // Occupy the single worker first: an exhaustive search of an infeasible
+  // set that outlasts its budget. Once it has left the queue, the burst
+  // meets a busy worker and a one-slot queue, so all but one are shed.
+  workload::WorkloadConfig config;
+  config.seed = 4;
+  config.tasks = 12;
+  config.utilization = 0.98;
+  config.exclusion_pairs = 5;
+  const std::string occupant_spec =
+      pnml::write_ezspec(workload::generate(config).value()).value();
+  std::thread occupant([&] {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.member("op", "schedule");
+    w.member("id", "occupant");
+    w.member("budget_ms", std::uint64_t{1'500});
+    w.key("options");
+    w.begin_object();
+    w.member("complete", true);
+    w.member("max_states", std::uint64_t{0});
+    w.member("state_classes", "off");
+    w.end_object();
+    w.member("spec", occupant_spec);
+    w.end_object();
+    const JsonValue response = roundtrip(server.endpoint(), w.take());
+    EXPECT_EQ(response.find("status")->string, "ok");  // served, not shed
+  });
+  // Queued once and dequeued again: the worker is busy with it.
+  auto dequeued = [&] {
+    const ServerStats stats = server.stats();
+    return stats.peak_queue_depth >= 1 && stats.queue_depth == 0;
+  };
+  const auto give_up = Clock::now() + std::chrono::seconds(10);
+  while (!dequeued() && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(dequeued());
+
   // Distinct digests (different budgets do not change the digest, so vary
   // the spec via sync_budget) keep single-flight out of the picture.
   constexpr int kClients = 8;
@@ -774,6 +812,7 @@ TEST_F(ServeTest, OverloadBurstShedsWithStructuredResponses) {
   for (std::thread& t : clients) {
     t.join();
   }
+  occupant.join();
   // Every request got a structured answer (no hangs, no crashes), and the
   // burst exceeded queue capacity so at least one was shed.
   EXPECT_EQ(ok.load() + overloaded.load() + other.load(), kClients);

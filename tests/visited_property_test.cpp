@@ -1,7 +1,8 @@
-// Differential property tests for the concurrent visited set
-// (sched/visited_set.hpp): randomized insert/contains mixes, with enough
-// keys per shard to force repeated growth, checked against a sequential
-// std::unordered_set oracle at 1/2/4/8 threads.
+// Differential property tests for the visited tables
+// (sched/visited_set.hpp). The concurrent set: randomized insert/contains
+// mixes, with enough keys per shard to force repeated growth, checked
+// against a sequential std::unordered_set oracle at 1/2/4/8 threads. The
+// best-cost table: random claims against a cheapest-cost map.
 //
 // The contract under test (docs/concurrency.md):
 //  * exactly-once — across all threads, insert returns true exactly once
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <random>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -175,6 +177,32 @@ TEST_P(VisitedDifferential, CasSetMatchesOracleShardedMix) {
       [&](tpn::StateDigest d, std::uint32_t tid) { return set.insert(d, tid); },
       [&](tpn::StateDigest d) { return set.contains(d); },
       [&] { return set.size(); });
+}
+
+TEST(BestCostTable, ClaimsMatchACheapestCostOracleAcrossGrowth) {
+  // Branch-and-bound's table: a claim succeeds exactly when its key is
+  // new or strictly cheaper than every earlier claim of that key. 5k keys
+  // against 1024 initial slots force several grows.
+  sched::BestCostTable table;
+  std::unordered_map<tpn::StateDigest, std::uint64_t, DigestHash, DigestEq>
+      best;
+  const std::vector<tpn::StateDigest> keys = make_keys(5'000, 0xb0b);
+  std::mt19937_64 rng(0xb0b);
+  std::uint64_t readmitted = 0;
+  for (int op = 0; op < 40'000; ++op) {
+    const tpn::StateDigest key = keys[rng() % keys.size()];
+    const std::uint64_t cost = rng() % 64;
+    const auto it = best.find(key);
+    const bool cheaper = it == best.end() || cost < it->second;
+    if (cheaper) {
+      readmitted += it != best.end() ? 1 : 0;
+      best[key] = cost;
+    }
+    ASSERT_EQ(table.claim(key, cost), cheaper) << "op " << op;
+  }
+  EXPECT_GT(readmitted, 0u);
+  // At most half the slots are occupied.
+  EXPECT_GE(table.memory_bytes(), 2 * best.size() * 3 * sizeof(std::uint64_t));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, VisitedDifferential,

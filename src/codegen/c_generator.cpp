@@ -47,12 +47,6 @@ using spec::Task;
   return os.str();
 }
 
-[[nodiscard]] std::string emit_table(const Specification& spec,
-                                     const sched::ScheduleTable& table) {
-  return emit_table_named(spec, table.items, "scheduleTable",
-                          "SCHEDULE_SIZE");
-}
-
 [[nodiscard]] std::string emit_header(const Specification& spec,
                                       const sched::ScheduleTable& table) {
   std::ostringstream os;

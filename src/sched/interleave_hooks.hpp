@@ -1,15 +1,15 @@
-// Schedule-control hooks for the lock-free search structures.
+// Schedule-control hooks for the lock-free visited table.
 //
 // The interleaving test harness (tests/interleave/) verifies the CAS
-// visited table, the Chase-Lev deque and the work-stealing pool the way
-// lincheck-style checkers verify concurrent code: it runs the real
-// implementation under a cooperative scheduler that decides, at every
-// shared-memory step, which thread moves next — PCT-style random
-// priorities for big searches, exhaustive enumeration for small bounds,
-// and round minimization of any failing schedule.
+// visited table (sched/lockfree_table.hpp) the way lincheck-style
+// checkers verify concurrent code: it runs the real implementation
+// under a cooperative scheduler that decides, at every shared-memory
+// step, which thread moves next — PCT-style random priorities for big
+// searches, exhaustive enumeration for small bounds, and round
+// minimization of any failing schedule.
 //
 // The contract: every linearization-relevant atomic operation in the
-// structures is preceded by `EZRT_STEP("site")`. In production builds the
+// table is preceded by `EZRT_STEP("site")`. In production builds the
 // macro compiles to nothing — zero code, zero branches on the hot path.
 // Test builds define EZRT_INTERLEAVE_HOOKS, which turns each step into a
 // call through an installable hook where the harness parks the thread

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -13,8 +12,8 @@
 
 #include "base/assert.hpp"
 #include "obs/trace.hpp"
+#include "sched/donation_queue.hpp"
 #include "sched/search_kernel.hpp"
-#include "sched/work_stealing.hpp"
 
 namespace ezrt::sched {
 
@@ -37,10 +36,10 @@ namespace {
 
 /// Every worker runs the serial DFS's stack loop (SearchWorker::run_stack)
 /// and shares its visited table through SearchShared; this class adds
-/// only the Chase-Lev pool (sched/work_stealing.hpp), donation, the
+/// only the donation queue (sched/donation_queue.hpp), donation, the
 /// cooperative stop and the per-worker merge. Termination is the
-/// idle-counting protocol: when every worker is parked at once over an
-/// empty pool, the search space is exhausted (docs/concurrency.md).
+/// idle-counting protocol: when every worker waits at once over an
+/// empty queue, the search space is exhausted (docs/concurrency.md).
 class ParallelSearch {
  public:
   ParallelSearch(const tpn::TimePetriNet& net, const SchedulerOptions& options,
@@ -53,10 +52,9 @@ class ParallelSearch {
   SearchOutcome run();
 
  private:
-  /// Heap-allocates the item into the caller's own deque; ownership moves
-  /// to whichever worker acquires it (or to the post-join drain).
+  /// Moves the item into the shared queue for whichever worker runs dry.
   void push_work(std::uint32_t tid, WorkItem&& item) {
-    pool_.push(tid, new WorkItem(std::move(item)));
+    pool_.push(tid, std::move(item));
     gauge(&obs::ProgressSink::queue, pool_.pending());
   }
 
@@ -75,8 +73,8 @@ class ParallelSearch {
     return stop_.load(std::memory_order_acquire);
   }
 
-  /// Cooperative stop: parked workers wake, running ones unwind at their
-  /// next step. Items left in the deques are freed by the drain in run().
+  /// Cooperative stop: waiting workers wake, running ones unwind at their
+  /// next step. Items left in the queue die with it.
   void finish() {
     stop_.store(true, std::memory_order_release);
     pool_.shutdown();
@@ -95,10 +93,9 @@ class ParallelSearch {
   }
 
   /// Donates pending candidates from the *shallowest* unexhausted frame
-  /// into the worker's own deque (an uncontended bottom append) while
-  /// other workers are hungry: shallow siblings root the largest subtrees,
-  /// so stolen work stays coarse. Donations are admitted here, so the
-  /// stealer starts from an expanded frame.
+  /// to the shared queue while other workers are hungry: shallow siblings
+  /// root the largest subtrees, so shared work stays coarse. Donations
+  /// are admitted here, so the taker starts from an expanded frame.
   void maybe_offload(SearchWorker& w, const WorkItem& item) {
     const std::size_t hunger = shared_.threads;
     if (hunger == 1 || pool_.pending() >= hunger) {
@@ -137,9 +134,9 @@ class ParallelSearch {
   void worker_main(SearchWorker& w) {
     obs::Span span(shared_.options.tracer, "search-worker", "sched");
     span.set_args("{\"worker\":" + std::to_string(w.tid) + "}");
-    // Bounded park only when a guard is armed, so a parked worker still
+    // Bounded wait only when a guard is armed, so a waiting worker still
     // notices a SIGINT or an expired wall limit even when no peer ever
-    // wakes it; unguarded searches park indefinitely.
+    // wakes it; unguarded searches wait indefinitely.
     const auto poll = std::chrono::milliseconds(
         shared_.guard.armed() ? 20 : 0);
     auto between = [&](const WorkItem& item) {
@@ -154,10 +151,10 @@ class ParallelSearch {
         conclude(*status, std::move(w.trace));
       }
     };
-    using Pool = WorkStealingPool<WorkItem*>;
+    using Pool = DonationQueue<WorkItem>;
     try {
       if (w.tid == 0) {
-        // Worker 0 runs s0 itself; its peers park until it donates.
+        // Worker 0 runs s0 itself; its peers wait until it donates.
         WorkItem root;
         if (w.admit_root(root.frame) == Admit::kFinal) {
           conclude(w.status);
@@ -166,8 +163,8 @@ class ParallelSearch {
         }
       }
       for (;;) {
-        WorkItem* raw = nullptr;
-        const Pool::Acquire r = pool_.acquire(w.tid, raw, poll);
+        WorkItem item;
+        const Pool::Acquire r = pool_.acquire(w.tid, item, poll);
         if (r == Pool::Acquire::kDone) {
           break;
         }
@@ -178,8 +175,7 @@ class ParallelSearch {
           }
           continue;
         }
-        std::unique_ptr<WorkItem> item(raw);
-        search(*item);
+        search(item);
       }
     } catch (...) {
       std::lock_guard<std::mutex> lock(result_mu_);
@@ -191,7 +187,7 @@ class ParallelSearch {
   }
 
   SearchShared shared_;
-  WorkStealingPool<WorkItem*> pool_;
+  DonationQueue<WorkItem> pool_;
   std::atomic<bool> stop_{false};
 
   std::mutex result_mu_;
@@ -212,8 +208,6 @@ SearchOutcome ParallelSearch::run() {
   for (std::thread& t : threads) {
     t.join();
   }
-  // Early stops (goal, budget, guard) leave unexplored items behind.
-  pool_.drain([](WorkItem* item) { delete item; });
   if (failure_) {
     std::rethrow_exception(failure_);
   }

@@ -5,12 +5,12 @@
 // loop and admission step (sched/search_kernel.hpp) over disjoint
 // subtrees, admission is arbitrated by the sharded lock-free visited set
 // keyed on the 128-bit Zobrist state digest (sched/visited_set.hpp),
-// donation and termination go through per-worker Chase-Lev deques
-// (sched/work_stealing.hpp), and the first worker to reach the final marking
-// stops the others cooperatively through an atomic flag, returning its
-// winning firing schedule. Downstream stages (schedule-table extraction,
-// trace replay, code generation) consume the returned trace exactly as
-// they consume a serial one.
+// donation and termination go through one mutex-guarded FIFO
+// (sched/donation_queue.hpp), and the first worker to reach the final
+// marking stops the others cooperatively through an atomic flag,
+// returning its winning firing schedule. Downstream stages
+// (schedule-table extraction, trace replay, code generation) consume the
+// returned trace exactly as they consume a serial one.
 //
 // Verdict determinism: the candidate expansion is a pure function of the
 // state, so the pruned successor relation is a fixed graph and an

@@ -50,7 +50,7 @@ Result<ScheduleTable> extract_schedule(const spec::Specification& spec,
     msg_of_transition[model.message_nets[m].release.value()] =
         static_cast<std::int32_t>(m);
   }
-  std::vector<Time> open_transfer(model.message_nets.size(), -1);
+  std::vector<std::optional<Time>> open_transfer(model.message_nets.size());
   std::int64_t sync_held = 0;
   auto sync_delta = [&](TransitionId t) {
     std::int64_t delta = 0;
@@ -90,17 +90,17 @@ Result<ScheduleTable> extract_schedule(const spec::Specification& spec,
       const auto m = static_cast<std::size_t>(mi);
       if (event.transition == model.message_nets[m].acquire) {
         open_transfer[m] = event.at;
-      } else if (open_transfer[m] >= 0) {
+      } else if (open_transfer[m].has_value()) {
         const spec::Message& msg = spec.message(MessageId(
             static_cast<std::uint32_t>(m)));
         BusSegment seg;
-        seg.start = open_transfer[m];
-        seg.duration = event.at - open_transfer[m];
+        seg.start = *open_transfer[m];
+        seg.duration = event.at - *open_transfer[m];
         seg.message = MessageId(static_cast<std::uint32_t>(m));
         seg.from = spec.task(msg.sender).processor;
         seg.to = spec.task(msg.receiver).processor;
         table.bus_timeline.push_back(seg);
-        open_transfer[m] = -1;
+        open_transfer[m].reset();
       }
     }
     if (!t.task.valid()) {

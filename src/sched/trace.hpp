@@ -64,9 +64,9 @@ struct SearchStats {
 struct WorkerTelemetry {
   std::uint32_t worker = 0;
   std::uint64_t expansions = 0;        ///< Expander::expand calls
-  std::uint64_t donations = 0;         ///< items shared via the own deque
-  std::uint64_t steals = 0;            ///< items stolen from other deques
-  std::uint64_t idle_transitions = 0;  ///< times the worker parked hungry
+  std::uint64_t donations = 0;         ///< items shared via the queue
+  std::uint64_t steals = 0;            ///< items taken that a peer donated
+  std::uint64_t idle_transitions = 0;  ///< waits on an empty queue
   /// Expansions this worker collapsed to one successor via the reduction.
   std::uint64_t reduction_singletons = 0;
   SearchStats stats;

@@ -33,8 +33,8 @@ using spec::TimingConstraints;
 [[nodiscard]] ScheduleTable demo_table() {
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(sched::ScheduleItem{2, false, TaskId(1), 0, 3});
+  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(sched::ScheduleItem{2, false, TaskId(1), 0, 3, {}});
   t.makespan = 5;
   return t;
 }
@@ -81,8 +81,8 @@ TEST(Codegen, ResumeFlagEmittedForPreemptedRows) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(sched::ScheduleItem{5, true, TaskId(0), 0, 2});
+  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(sched::ScheduleItem{5, true, TaskId(0), 0, 2, {}});
   auto code = generate(s, t);
   ASSERT_TRUE(code.ok());
   const std::string& dispatcher = code.value().find("dispatcher.c")->content;
@@ -143,7 +143,7 @@ TEST(Codegen, SanitizesAwkwardTaskNames) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 1});
+  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 1, {}});
   auto code = generate(s, t);
   ASSERT_TRUE(code.ok());
   EXPECT_NE(code.value().find("schedule.h")->content.find("task_CH4_high"),
@@ -158,8 +158,8 @@ TEST(Codegen, RejectsCollidingSymbols) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 1});
-  t.items.push_back(sched::ScheduleItem{1, false, TaskId(1), 0, 1});
+  t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 1, {}});
+  t.items.push_back(sched::ScheduleItem{1, false, TaskId(1), 0, 1, {}});
   EXPECT_FALSE(generate(s, t).ok());
 }
 

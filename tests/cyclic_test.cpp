@@ -27,8 +27,8 @@ using spec::TimingConstraints;
 [[nodiscard]] ScheduleTable simple_table() {
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3, {}});
   t.makespan = 5;
   return t;
 }
@@ -42,7 +42,7 @@ TEST(CyclicCheck, AcceptsCleanSchedule) {
 
 TEST(CyclicCheck, RejectsSpilloverMakespan) {
   ScheduleTable t = simple_table();
-  t.items.push_back(ScheduleItem{9, false, TaskId(0), 1, 2});
+  t.items.push_back(ScheduleItem{9, false, TaskId(0), 1, 2, {}});
   t.makespan = 11;  // crosses the period boundary
   const CyclicCheck check = check_repeatable(two_tasks(), t);
   EXPECT_FALSE(check.repeatable);

@@ -1,8 +1,8 @@
-// Lincheck-style interleaving tests for the lock-free search structures
-// (sched/lockfree_table.hpp, sched/deque.hpp, sched/work_stealing.hpp).
+// Lincheck-style interleaving tests for the lock-free visited table
+// (sched/lockfree_table.hpp).
 //
-// This TU is compiled with EZRT_INTERLEAVE_HOOKS, so the structures under
-// test carry a schedule-control step before every linearization-relevant
+// This TU is compiled with EZRT_INTERLEAVE_HOOKS, so the table under
+// test carries a schedule-control step before every linearization-relevant
 // atomic, and the StepScheduler (scheduler.hpp) decides which thread
 // moves at each step. Exhaustive enumeration covers every schedule of the
 // small-bound scenarios; PCT campaigns sample the larger ones; and the
@@ -10,31 +10,35 @@
 // protocol violations (a harness that cannot fail is not evidence).
 //
 // Every scenario checks against a sequential oracle: per-key insert must
-// return true exactly once, deques must conserve items (nothing lost,
-// nothing duplicated), and the pool must process every pushed item before
-// declaring termination.
+// return true exactly once, every inserted key must survive a grow, and
+// the donation queue must hand out every pushed item exactly once before
+// it declares termination. The queue is mutex-guarded, so each of its
+// operations is atomic and the pool scenarios place their steps at
+// operation boundaries; a worker that waits on the empty queue is
+// released by the scheduler's stall fallback. tests/parallel_test.cpp
+// drives the same queue on real threads with 2, 4 and 8 workers.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "scheduler.hpp"
-#include "sched/deque.hpp"
+#include "sched/donation_queue.hpp"
 #include "sched/lockfree_table.hpp"
-#include "sched/work_stealing.hpp"
 
 namespace ezrt {
 namespace {
 
 using sched::BasicLockFreeDigestTable;
-using sched::ChaseLevDeque;
 using sched::ClaimProtocol;
+using sched::DonationQueue;
 using sched::LockFreeDigestTable;
-using sched::WorkStealingPool;
 using testing::ExhaustResult;
 using testing::RunOutcome;
 using testing::Scenario;
@@ -245,144 +249,108 @@ TEST(InterleaveTable, EpochGrowSurvivesPctCampaign) {
   EXPECT_FALSE(result.found_failure) << result.failure.failure;
 }
 
-// ---------------------------------------------------------------- deque --
-
-/// Owner pushes then pops; a thief steals concurrently. Conservation
-/// oracle: every pushed item ends up with exactly one party.
-class DequeConservationScenario final : public Scenario {
- public:
-  explicit DequeConservationScenario(int items) : items_(items) {}
-
-  void reset() override {
-    deque_ = std::make_unique<ChaseLevDeque<int>>(2);
-    popped_.clear();
-    stolen_.clear();
-  }
-  [[nodiscard]] std::size_t threads() const override { return 2; }
-  void body(std::size_t tid) override {
-    if (tid == 0) {
-      for (int i = 0; i < items_; ++i) {
-        deque_->push(i);
-      }
-      int v = 0;
-      while (deque_->pop(v)) {
-        popped_.push_back(v);
-      }
-    } else {
-      deque_->steal_half(stolen_);
-    }
-  }
-  bool check(std::string* why) override {
-    std::vector<int> all = popped_;
-    all.insert(all.end(), stolen_.begin(), stolen_.end());
-    std::sort(all.begin(), all.end());
-    // Whatever the thief leaves, the owner drains: together they must
-    // hold each item exactly once.
-    for (int i = 0; i < items_; ++i) {
-      if (static_cast<std::size_t>(i) >= all.size() || all[i] != i) {
-        *why = "items lost or duplicated (owner " +
-               std::to_string(popped_.size()) + ", thief " +
-               std::to_string(stolen_.size()) + " of " +
-               std::to_string(items_) + ")";
-        return false;
-      }
-    }
-    if (all.size() != static_cast<std::size_t>(items_)) {
-      *why = "item count " + std::to_string(all.size()) + " != " +
-             std::to_string(items_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  const int items_;
-  std::unique_ptr<ChaseLevDeque<int>> deque_;
-  std::vector<int> popped_;
-  std::vector<int> stolen_;
-};
-
-TEST(InterleaveDeque, StealVsPopConservesItemsExhaustively) {
-  DequeConservationScenario scenario(2);
-  const ExhaustResult result = testing::exhaust(scenario, 500, 20000);
-  EXPECT_FALSE(result.found_failure) << result.failure.failure;
-  EXPECT_FALSE(result.budget_exhausted)
-      << result.schedules << " schedules without covering the space";
-}
-
-TEST(InterleaveDeque, StealHalfAgainstDrainingOwnerPct) {
-  // Larger batch: steal-half claims up to half of 4 while the owner pops
-  // the same window down — the exact race a batch top-CAS would lose.
-  DequeConservationScenario scenario(4);
-  const ExhaustResult result = testing::pct_campaign(scenario, 128, 7);
-  EXPECT_FALSE(result.found_failure) << result.failure.failure;
-}
-
 // ----------------------------------------------------------------- pool --
 
-/// The termination protocol under forced steal-half during the idle-count
-/// countdown: worker 1 parks hungry immediately (idle count rises), then
-/// worker 0 pushes, processes, and re-donates; every schedule must end
-/// with both workers seeing kDone and every item processed exactly once.
+/// The termination protocol of the donation queue: worker 0 pushes three
+/// items, and whichever worker takes an original item re-donates a
+/// derivative once. Every schedule must end with both workers seeing
+/// kDone and every item taken exactly once.
 class PoolTerminationScenario final : public Scenario {
  public:
+  using Queue = DonationQueue<int>;
+
   void reset() override {
-    pool_ = std::make_unique<WorkStealingPool<int>>(2);
-    processed_ = {0, 0};
+    queue_ = std::make_unique<Queue>(2);
+    taken_ = {};
+    saw_done_ = {false, false};
     stolen_items_ = 0;
   }
   [[nodiscard]] std::size_t threads() const override { return 2; }
   void body(std::size_t tid) override {
+    const auto worker = static_cast<std::uint32_t>(tid);
     if (tid == 0) {
       for (int i = 0; i < 3; ++i) {
-        pool_->push(0, i);
+        EZRT_STEP("pool.push");
+        queue_->push(0, i);
       }
     }
     int item = 0;
     for (;;) {
-      // A short poll keeps parked workers cycling through step sites, so
-      // the harness never waits a full stall timeout on a sleeping peer.
-      const auto r = pool_->acquire(static_cast<std::uint32_t>(tid), item,
-                                    std::chrono::milliseconds(1));
-      if (r == WorkStealingPool<int>::Acquire::kDone) {
+      EZRT_STEP("pool.acquire");
+      // An unbounded wait, as in a search without a resource guard. The
+      // waiter sits outside every step, so the stall fallback grants the
+      // peer, whose push or own empty acquire must wake it.
+      const auto r = queue_->acquire(worker, item,
+                                     std::chrono::milliseconds(0));
+      if (r == Queue::Acquire::kDone) {
+        saw_done_[tid] = true;
         return;
       }
-      if (r == WorkStealingPool<int>::Acquire::kTimeout) {
-        continue;
-      }
-      ++processed_[tid];
+      taken_[tid].push_back(item);
       if (item >= 100) {
         continue;  // re-donated item: process without re-sharing
       }
       // Re-donate a derivative item once, from whichever worker holds it:
-      // if a steal moved it during the countdown, the push now comes from
-      // the thief's deque — exactly the handoff the protocol must absorb.
-      pool_->push(static_cast<std::uint32_t>(tid), item + 100);
+      // if the peer took it during the countdown, the push now comes from
+      // that peer — exactly the handoff the protocol must absorb.
+      EZRT_STEP("pool.push");
+      queue_->push(worker, item + 100);
     }
   }
   bool check(std::string* why) override {
-    const std::uint64_t total = processed_[0] + processed_[1];
-    if (total != 6) {  // 3 pushed + 3 re-donated
-      *why = "processed " + std::to_string(total) + " of 6 items";
+    // Originals are donated by worker 0, each derivative by the worker
+    // that took its original.
+    std::map<int, std::uint32_t> donor = {{0, 0}, {1, 0}, {2, 0}};
+    std::map<int, int> times;
+    for (std::uint32_t tid = 0; tid < 2; ++tid) {
+      if (!saw_done_[tid]) {
+        *why = "worker " + std::to_string(tid) + " returned without kDone";
+        return false;
+      }
+      for (int item : taken_[tid]) {
+        ++times[item];
+        if (item < 100) {
+          donor[item + 100] = tid;
+        }
+      }
+    }
+    for (int item : {0, 1, 2, 100, 101, 102}) {
+      if (times[item] != 1) {
+        *why = "item " + std::to_string(item) + " taken " +
+               std::to_string(times[item]) + " times";
+        return false;
+      }
+    }
+    if (times.size() != 6) {
+      *why = "an item nobody pushed was taken";
       return false;
     }
-    if (pool_->pending() != 0) {
-      *why = "pool finished with items pending";
+    if (queue_->pending() != 0) {
+      *why = "queue finished with items pending";
       return false;
     }
-    if (!pool_->finished()) {
-      *why = "pool not marked finished after both workers returned";
+    std::uint64_t expected_steals = 0;
+    for (std::uint32_t tid = 0; tid < 2; ++tid) {
+      for (int item : taken_[tid]) {
+        expected_steals += donor[item] != tid ? 1 : 0;
+      }
+    }
+    stolen_items_ = queue_->stats(0).steals + queue_->stats(1).steals;
+    if (stolen_items_ != expected_steals) {
+      *why = "steal count " + std::to_string(stolen_items_) +
+             " != items taken from another donor " +
+             std::to_string(expected_steals);
       return false;
     }
-    stolen_items_ = pool_->stats(0).steals + pool_->stats(1).steals;
     return true;
   }
 
   [[nodiscard]] std::uint64_t stolen_items() const { return stolen_items_; }
 
  private:
-  std::unique_ptr<WorkStealingPool<int>> pool_;
-  std::array<std::uint64_t, 2> processed_{};
+  std::unique_ptr<Queue> queue_;
+  std::array<std::vector<int>, 2> taken_;
+  std::array<bool, 2> saw_done_{};
   std::uint64_t stolen_items_ = 0;
 };
 
@@ -398,8 +366,8 @@ TEST(InterleavePool, TerminationLosesNoWorkUnderSeededSchedules) {
     ASSERT_TRUE(out.ok) << "seed " << seed << ": " << out.failure;
     rounds_with_steals += scenario.stolen_items() > 0 ? 1 : 0;
   }
-  // The campaign must actually exercise steal-half during the idle
-  // countdown, not just the owner draining its own deque.
+  // The campaign must actually hand items across workers during the idle
+  // countdown, not just let worker 0 drain its own donations.
   EXPECT_GT(rounds_with_steals, 0u);
 }
 

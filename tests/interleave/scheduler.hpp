@@ -1,5 +1,5 @@
 // Schedule-controlled interleaving harness for the lock-free search
-// structures (lincheck-style; see docs/concurrency.md §5).
+// structures (lincheck-style; see docs/concurrency.md §4).
 //
 // The structures under test are compiled with EZRT_INTERLEAVE_HOOKS, so
 // every linearization-relevant atomic operation calls EZRT_STEP first.
@@ -24,14 +24,15 @@
 // merging adjacent context switches and truncating the tail, re-running
 // the scenario to confirm each candidate still fails.
 //
-// Threads that block *outside* the hook (a mutex or condition variable
-// inside the structure, as in WorkStealingPool's parking path) would
-// deadlock a naive controller: the blocked thread never reaches a step,
-// and the lock holder is parked in the harness. The control loop detects
-// the stall with a bounded wait and grants an additional parked thread —
-// strict one-at-a-time scheduling resumes once the cycle breaks. Lock-free
-// scenarios (table, deque) never hit this path and stay fully
-// deterministic.
+// Threads that block *outside* the hook (on a mutex, or waiting on a
+// condition variable such as the donation queue's empty-queue wait)
+// would deadlock a naive controller: the blocked thread never reaches a
+// step, and the thread that would release it is parked in the harness.
+// The control loop detects the stall with a bounded wait and grants an
+// additional parked thread — strict one-at-a-time scheduling resumes
+// once the cycle breaks. The lock-free table scenarios never hit this
+// path and stay fully deterministic; the donation-queue scenarios take
+// it whenever a worker waits on the empty queue.
 #pragma once
 
 #include <algorithm>

@@ -89,9 +89,9 @@ TEST(Latency, HandBuiltTable) {
   const Specification s = chain_spec();
   ScheduleTable t;
   t.schedule_period = 20;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3});
-  t.items.push_back(ScheduleItem{7, false, TaskId(2), 0, 1});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3, {}});
+  t.items.push_back(ScheduleItem{7, false, TaskId(2), 0, 1, {}});
   const auto latencies = analyze_latency(s, t);
   ASSERT_EQ(latencies.size(), 1u);
   EXPECT_EQ(latencies[0].instances, 1u);
@@ -121,10 +121,10 @@ TEST(Latency, MultiInstanceStatistics) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 20;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 1});
-  t.items.push_back(ScheduleItem{1, false, TaskId(1), 0, 1});   // latency 2
-  t.items.push_back(ScheduleItem{10, false, TaskId(0), 1, 1});
-  t.items.push_back(ScheduleItem{15, false, TaskId(1), 1, 1});  // latency 6
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 1, {}});
+  t.items.push_back(ScheduleItem{1, false, TaskId(1), 0, 1, {}});   // latency 2
+  t.items.push_back(ScheduleItem{10, false, TaskId(0), 1, 1, {}});
+  t.items.push_back(ScheduleItem{15, false, TaskId(1), 1, 1, {}});  // latency 6
   const auto latencies = analyze_latency(s, t);
   ASSERT_EQ(latencies.size(), 1u);
   EXPECT_EQ(latencies[0].instances, 2u);
@@ -137,9 +137,9 @@ TEST(Latency, FormatNamesEveryHop) {
   const Specification s = chain_spec();
   ScheduleTable t;
   t.schedule_period = 20;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3});
-  t.items.push_back(ScheduleItem{5, false, TaskId(2), 0, 1});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3, {}});
+  t.items.push_back(ScheduleItem{5, false, TaskId(2), 0, 1, {}});
   const std::string report = format_latency(s, analyze_latency(s, t));
   EXPECT_NE(report.find("sample -> filter -> actuate"), std::string::npos);
   EXPECT_NE(report.find("worst 6"), std::string::npos);

@@ -28,8 +28,8 @@ using spec::TimingConstraints;
 [[nodiscard]] ScheduleTable simple_table() {
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3, {}});
   t.makespan = 5;
   return t;
 }
@@ -66,8 +66,8 @@ TEST(Metrics, JitterAcrossInstances) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 20;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{13, false, TaskId(0), 1, 2});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{13, false, TaskId(0), 1, 2, {}});
   const ScheduleMetrics m = compute_metrics(s, t);
   EXPECT_EQ(m.tasks[0].start_jitter, 3u);
   EXPECT_EQ(m.tasks[0].worst_response, 5u);
@@ -82,8 +82,8 @@ TEST(Metrics, PreemptionCountFromSegments) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{5, true, TaskId(0), 0, 2});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{5, true, TaskId(0), 0, 2, {}});
   const ScheduleMetrics m = compute_metrics(s, t);
   EXPECT_EQ(m.tasks[0].preemptions, 1u);
   EXPECT_EQ(m.total_preemptions, 1u);
@@ -97,7 +97,7 @@ TEST(Metrics, EnergyUsesMetamodelAttribute) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
   const ScheduleMetrics m = compute_metrics(s, t);
   EXPECT_EQ(m.tasks[0].energy, 14u);  // 7 * c(2) * 1 instance
   EXPECT_EQ(m.total_energy, 14u);
@@ -146,10 +146,10 @@ TEST(Metrics, PreemptionAndEnergyAggregateAcrossTasks) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 20;
-  t.items.push_back(ScheduleItem{0, false, a, 0, 2});
-  t.items.push_back(ScheduleItem{2, false, b, 0, 2});
-  t.items.push_back(ScheduleItem{4, true, a, 0, 2});
-  t.items.push_back(ScheduleItem{6, true, b, 0, 2});
+  t.items.push_back(ScheduleItem{0, false, a, 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, b, 0, 2, {}});
+  t.items.push_back(ScheduleItem{4, true, a, 0, 2, {}});
+  t.items.push_back(ScheduleItem{6, true, b, 0, 2, {}});
   const ScheduleMetrics m = compute_metrics(s, t);
   EXPECT_EQ(m.tasks[0].preemptions, 1u);
   EXPECT_EQ(m.tasks[1].preemptions, 1u);
@@ -167,8 +167,8 @@ TEST(Metrics, EnergyMultipliesByInstanceCount) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 20;  // two instances of the period-10 task
-  t.items.push_back(ScheduleItem{0, false, a, 0, 2});
-  t.items.push_back(ScheduleItem{10, false, a, 1, 2});
+  t.items.push_back(ScheduleItem{0, false, a, 0, 2, {}});
+  t.items.push_back(ScheduleItem{10, false, a, 1, 2, {}});
   const ScheduleMetrics m = compute_metrics(s, t);
   EXPECT_EQ(m.tasks[0].instances, 2u);
   EXPECT_EQ(m.tasks[0].energy, 28u);  // 7 * c(2) * 2 instances

@@ -5,6 +5,7 @@
 // workload generator scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -109,6 +110,27 @@ TEST(MultiProc, UavSchedulesOnTwoProcessors) {
   EXPECT_EQ(metrics.processors[1].busy_time, 14);
   EXPECT_EQ(metrics.bus_transfers, 2u);
   EXPECT_EQ(metrics.bus_busy_time, 4);
+}
+
+TEST(MultiProc, BusReleaseWithoutAcquireOpensNoSegment) {
+  UavFixture f = schedule_uav();
+  ASSERT_EQ(f.outcome.status, sched::SearchStatus::kFeasible);
+  // Drop the first bus grant: its release then closes no open transfer
+  // and must not invent a segment; the second transfer still pairs up.
+  sched::Trace trace = f.outcome.trace;
+  const TransitionId acquire = f.model.message_nets[0].acquire;
+  const auto grant =
+      std::find_if(trace.begin(), trace.end(), [&](const auto& event) {
+        return event.transition == acquire;
+      });
+  ASSERT_NE(grant, trace.end());
+  trace.erase(grant);
+  auto table = sched::extract_schedule(f.spec, f.model, trace);
+  ASSERT_TRUE(table.ok()) << table.error();
+  ASSERT_EQ(table.value().bus_timeline.size(), 1u);
+  EXPECT_EQ(table.value().bus_timeline[0].start,
+            f.table.bus_timeline[1].start);
+  EXPECT_EQ(table.value().bus_timeline[0].duration, 2);
 }
 
 TEST(MultiProc, UavTableRendersPerCoreTablesAndBusTimeline) {

@@ -19,16 +19,25 @@
 //   * visited set — exactly-once admission under thread contention for
 //     the lock-free CasVisitedSet (docs/concurrency.md), including the
 //     exact size after quiescence;
-//   * work sharing — steal/donation telemetry of the work-stealing pool is
+//   * work sharing — steal/donation telemetry of the donation queue is
 //     internally consistent and the distinct-state count stays
-//     thread-count independent on an exhausted instance.
+//     thread-count independent on an exhausted instance;
+//   * donation queue — on real threads, the idle-count termination takes
+//     every donated item exactly once, shutdown releases waiting workers
+//     and destroys queued items, and a guarded wait times out while a
+//     peer is still busy.
 //
 // Built twice by tests/CMakeLists.txt: the plain binary runs a small sweep
 // for local iteration, and the `parallel_stress_test` binary (ctest label
-// "stress", EZRT_STRESS_SWEEP) runs the full 200-model sweep.
+// "stress", EZRT_STRESS_SWEEP) runs the full 200-model sweep and more
+// donation-queue rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -37,6 +46,7 @@
 #include "runtime/dispatcher_sim.hpp"
 #include "runtime/validator.hpp"
 #include "sched/dfs.hpp"
+#include "sched/donation_queue.hpp"
 #include "sched/schedule_table.hpp"
 #include "sched/trace_io.hpp"
 #include "sched/visited_set.hpp"
@@ -48,8 +58,10 @@ namespace {
 
 #ifdef EZRT_STRESS_SWEEP
 constexpr std::uint64_t kSweepModels = 200;
+constexpr int kQueueRounds = 400;
 #else
 constexpr std::uint64_t kSweepModels = 32;
+constexpr int kQueueRounds = 40;
 #endif
 
 constexpr std::uint32_t kThreadCounts[] = {1, 2, 4, 8};
@@ -375,15 +387,15 @@ TEST(CasVisitedSet, GrowsPastInitialCapacityWithoutLoss) {
   EXPECT_EQ(set.size(), kDigests);
 }
 
-// -- Work-stealing pool telemetry --------------------------------------------
+// -- Work-sharing telemetry --------------------------------------------------
 
 TEST(ParallelSearch, WorkSharingTelemetryConsistentAcrossThreadCounts) {
   // An exhausted (infeasible) instance makes the engine explore the whole
   // reachable set, so the distinct-state count is an invariant across
-  // thread counts — any steal that lost or duplicated a work item during
-  // the idle-count countdown would break the equality. The telemetry
-  // cross-checks the pool's accounting: every stolen item was previously
-  // donated into some deque (plus the root item).
+  // thread counts — any hand-off that lost or duplicated a work item
+  // during the idle-count countdown would break the equality. The
+  // telemetry cross-checks the queue's accounting: every stolen item (one
+  // taken from another worker's donation) was previously donated.
   auto s = workload::generate(sweep_config(1));  // tight: infeasible-leaning
   ASSERT_TRUE(s.ok());
   auto model = builder::build_tpn(s.value());
@@ -417,6 +429,187 @@ TEST(ParallelSearch, WorkSharingTelemetryConsistentAcrossThreadCounts) {
       EXPECT_EQ(steals, 0u);  // nobody to steal from
     }
   }
+}
+
+// -- Donation queue ----------------------------------------------------------
+
+using IntQueue = sched::DonationQueue<int>;
+
+/// The termination oracle on real threads. Worker 0 donates kSeeds items;
+/// whichever worker takes an original item re-donates a derivative
+/// (item + kSeeds) once. Every worker must see kDone, every item must be
+/// taken exactly once, the queue must end empty, and each worker's steal
+/// count must match the items it took from another donor. Returns the
+/// round's total steals.
+std::uint64_t termination_round(std::uint32_t workers,
+                                std::chrono::milliseconds poll) {
+  constexpr int kSeeds = 16;
+  IntQueue queue(workers);
+  std::vector<std::vector<int>> taken(workers);
+  std::vector<int> saw_done(workers, 0);
+  std::atomic<std::uint32_t> started{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t tid = 0; tid < workers; ++tid) {
+    threads.emplace_back([&, tid] {
+      // Start together, or worker 0 drains its own donations before its
+      // peers are even scheduled.
+      started.fetch_add(1);
+      while (started.load() < workers) {
+        std::this_thread::yield();
+      }
+      if (tid == 0) {
+        for (int i = 0; i < kSeeds; ++i) {
+          queue.push(0, i);
+        }
+      }
+      int item = 0;
+      for (;;) {
+        const IntQueue::Acquire r = queue.acquire(tid, item, poll);
+        if (r == IntQueue::Acquire::kDone) {
+          saw_done[tid] = 1;
+          return;
+        }
+        if (r == IntQueue::Acquire::kTimeout) {
+          continue;
+        }
+        taken[tid].push_back(item);
+        if (item < kSeeds) {
+          queue.push(tid, item + kSeeds);
+        }
+        std::this_thread::yield();  // "process" the item
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+
+  std::vector<std::uint32_t> donor(2 * kSeeds, 0);  // seeds: worker 0
+  std::vector<int> all;
+  for (std::uint32_t tid = 0; tid < workers; ++tid) {
+    EXPECT_EQ(saw_done[tid], 1) << "worker " << tid;
+    for (int item : taken[tid]) {
+      all.push_back(item);
+      if (item < kSeeds) {
+        donor[item + kSeeds] = tid;
+      }
+    }
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all.size(), 2u * kSeeds);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i], static_cast<int>(i)) << "item lost or taken twice";
+  }
+  EXPECT_EQ(queue.pending(), 0u);
+
+  std::uint64_t steals = 0;
+  for (std::uint32_t tid = 0; tid < workers; ++tid) {
+    std::uint64_t expected = 0;
+    for (int item : taken[tid]) {
+      expected += donor[item] != tid ? 1 : 0;
+    }
+    EXPECT_EQ(queue.stats(tid).steals, expected) << "worker " << tid;
+    EXPECT_GE(queue.stats(tid).idle_transitions, 1u) << "worker " << tid;
+    steals += queue.stats(tid).steals;
+  }
+  return steals;
+}
+
+TEST(DonationQueue, TerminationTakesEveryItemExactlyOnce) {
+  std::uint64_t steals = 0;
+  for (const std::uint32_t workers : {2u, 4u, 8u}) {
+    for (int round = 0; round < kQueueRounds; ++round) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + " round " +
+                   std::to_string(round));
+      // Odd rounds poll, so workers also leave and re-enter the idle
+      // count through kTimeout during the countdown.
+      steals += termination_round(workers,
+                                  std::chrono::milliseconds(round % 2));
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+  // The rounds must hand items across workers, not only let worker 0
+  // drain its own donations.
+  EXPECT_GT(steals, 0u);
+}
+
+TEST(DonationQueue, ShutdownWakesWaitersAndDestroysQueuedItems) {
+  using Queue = sched::DonationQueue<std::shared_ptr<int>>;
+  const auto token = std::make_shared<int>(0);
+  {
+    std::atomic<std::uint32_t> idle{0};
+    Queue queue(3, [&](std::uint32_t n) { idle.store(n); });
+    // Worker 0 stays busy, so the idle count never reaches 3: only
+    // shutdown() can release workers 1 and 2 from their unbounded waits.
+    std::vector<Queue::Acquire> results(3, Queue::Acquire::kItem);
+    std::vector<std::thread> waiters;
+    for (std::uint32_t tid = 1; tid < 3; ++tid) {
+      waiters.emplace_back([&, tid] {
+        std::shared_ptr<int> item;
+        results[tid] = queue.acquire(tid, item, std::chrono::milliseconds(0));
+      });
+    }
+    while (idle.load() < 2) {
+      std::this_thread::yield();
+    }
+    queue.shutdown();
+    for (std::thread& t : waiters) {
+      t.join();
+    }
+    EXPECT_EQ(results[1], Queue::Acquire::kDone);
+    EXPECT_EQ(results[2], Queue::Acquire::kDone);
+
+    // Donations racing the stop stay queued and are never handed out.
+    for (int i = 0; i < 4; ++i) {
+      queue.push(0, token);
+    }
+    EXPECT_EQ(queue.pending(), 4u);
+    std::shared_ptr<int> item;
+    EXPECT_EQ(queue.acquire(0, item, std::chrono::milliseconds(0)),
+              Queue::Acquire::kDone);
+    EXPECT_EQ(item, nullptr);
+    EXPECT_EQ(token.use_count(), 5);
+  }
+  EXPECT_EQ(token.use_count(), 1);  // the queued items died with the queue
+}
+
+TEST(DonationQueue, GuardedWaitTimesOutWhileAPeerIsBusy) {
+  const auto poll = std::chrono::milliseconds(5);
+  int item = -1;
+
+  IntQueue solo(1);  // a lone worker over an empty queue is the last idle
+  EXPECT_EQ(solo.acquire(0, item, poll), IntQueue::Acquire::kDone);
+
+  std::atomic<std::uint32_t> idle{0};
+  IntQueue queue(2, [&](std::uint32_t n) { idle.store(n); });
+  // Worker 1 is busy, so worker 0's wait cannot end the search.
+  EXPECT_EQ(queue.acquire(0, item, poll), IntQueue::Acquire::kTimeout);
+  EXPECT_EQ(queue.stats(0).idle_transitions, 1u);
+  EXPECT_EQ(idle.load(), 0u);  // the timed-out worker left the idle count
+
+  queue.push(1, 7);
+  ASSERT_EQ(queue.acquire(0, item, poll), IntQueue::Acquire::kItem);
+  EXPECT_EQ(item, 7);
+  EXPECT_EQ(queue.stats(0).steals, 1u);  // donated by worker 1
+  queue.push(0, 8);
+  ASSERT_EQ(queue.acquire(0, item, poll), IntQueue::Acquire::kItem);
+  EXPECT_EQ(item, 8);
+  EXPECT_EQ(queue.stats(0).steals, 1u);  // its own donation is no steal
+
+  // Once the peer waits too, worker 0's next wait ends the search for both.
+  IntQueue::Acquire peer = IntQueue::Acquire::kItem;
+  std::thread waiter([&] {
+    int got = 0;
+    peer = queue.acquire(1, got, std::chrono::milliseconds(0));
+  });
+  while (idle.load() < 1) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(queue.acquire(0, item, poll), IntQueue::Acquire::kDone);
+  waiter.join();
+  EXPECT_EQ(peer, IntQueue::Acquire::kDone);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST(Ports, BareMetalCodegenIncludesPortHeader) {
   ASSERT_TRUE(s.validate().ok());
   sched::ScheduleTable table;
   table.schedule_period = 10;
-  table.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2});
+  table.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2, {}});
 
   CodegenOptions options;
   options.target = Target::kBareMetal;
@@ -94,7 +94,7 @@ TEST(Ports, HostSimDoesNotEmitPortHeader) {
   ASSERT_TRUE(s.validate().ok());
   sched::ScheduleTable table;
   table.schedule_period = 10;
-  table.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2});
+  table.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 2, {}});
   auto code = generate(s, table);  // host-sim default
   ASSERT_TRUE(code.ok());
   EXPECT_EQ(code.value().find("port.h"), nullptr);

@@ -35,8 +35,8 @@ using spec::TimingConstraints;
 [[nodiscard]] ScheduleTable good_table(Time period = 10) {
   ScheduleTable t;
   t.schedule_period = period;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3, {}});
   t.makespan = 5;
   return t;
 }

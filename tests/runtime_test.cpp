@@ -32,8 +32,8 @@ using spec::TimingConstraints;
 [[nodiscard]] ScheduleTable good_table() {
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 3, {}});
   t.makespan = 5;
   return t;
 }
@@ -82,7 +82,7 @@ TEST(Validator, DetectsEarlyStartBeforeRelease) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{2, false, TaskId(0), 0, 2});  // too early
+  t.items.push_back(ScheduleItem{2, false, TaskId(0), 0, 2, {}});  // too early
   const ValidationReport report = validate_schedule(s, t);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("release"), std::string::npos);
@@ -115,8 +115,8 @@ TEST(Validator, AllowsOverlapAcrossProcessors) {
 
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{0, false, TaskId(1), 0, 3});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{0, false, TaskId(1), 0, 3, {}});
   EXPECT_TRUE(validate_schedule(s, t).ok());
 }
 
@@ -124,9 +124,9 @@ TEST(Validator, DetectsSplitNonPreemptiveTask) {
   Specification s = two_tasks();
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 1});
-  t.items.push_back(ScheduleItem{5, true, TaskId(0), 0, 1});
-  t.items.push_back(ScheduleItem{1, false, TaskId(1), 0, 3});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 1, {}});
+  t.items.push_back(ScheduleItem{5, true, TaskId(0), 0, 1, {}});
+  t.items.push_back(ScheduleItem{1, false, TaskId(1), 0, 3, {}});
   const ValidationReport report = validate_schedule(s, t);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("non-preemptive"), std::string::npos);
@@ -141,8 +141,8 @@ TEST(Validator, DetectsWrongResumeFlags) {
   ScheduleTable t;
   t.schedule_period = 10;
   // Second segment of the same instance must carry preempted=true.
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{5, false, TaskId(0), 0, 2});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{5, false, TaskId(0), 0, 2, {}});
   const ValidationReport report = validate_schedule(s, t);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("preempted"), std::string::npos);
@@ -178,9 +178,9 @@ TEST(Validator, DetectsExclusionInterleaving) {
   // though no segments overlap on the CPU.
   ScheduleTable t;
   t.schedule_period = 20;
-  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2});
-  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 2});
-  t.items.push_back(ScheduleItem{4, true, TaskId(0), 0, 2});
+  t.items.push_back(ScheduleItem{0, false, TaskId(0), 0, 2, {}});
+  t.items.push_back(ScheduleItem{2, false, TaskId(1), 0, 2, {}});
+  t.items.push_back(ScheduleItem{4, true, TaskId(0), 0, 2, {}});
   const ValidationReport report = validate_schedule(s, t);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("exclusion"), std::string::npos);
@@ -189,7 +189,7 @@ TEST(Validator, DetectsExclusionInterleaving) {
 TEST(Validator, ZeroDurationSegmentFlagged) {
   Specification s = two_tasks();
   ScheduleTable t = good_table();
-  t.items.push_back(ScheduleItem{6, false, TaskId(0), 1, 0});
+  t.items.push_back(ScheduleItem{6, false, TaskId(0), 1, 0, {}});
   EXPECT_FALSE(validate_schedule(s, t).ok());
 }
 
@@ -218,9 +218,9 @@ TEST(DispatcherSim, CountsPreemptionsAndRestores) {
 
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(1), 0, 2});  // C starts
-  t.items.push_back(ScheduleItem{2, false, TaskId(0), 0, 1});  // A preempts
-  t.items.push_back(ScheduleItem{3, true, TaskId(1), 0, 2});   // C resumes
+  t.items.push_back(ScheduleItem{0, false, TaskId(1), 0, 2, {}});  // C starts
+  t.items.push_back(ScheduleItem{2, false, TaskId(0), 0, 1, {}});  // A preempts
+  t.items.push_back(ScheduleItem{3, true, TaskId(1), 0, 2, {}});   // C resumes
   const DispatcherRun run = simulate_dispatcher(s, t);
   EXPECT_TRUE(run.ok()) << (run.faults.empty() ? "" : run.faults[0]);
   EXPECT_EQ(run.context_saves, 1u);
@@ -231,7 +231,8 @@ TEST(DispatcherSim, DetectsResumeWithoutStart) {
   Specification s = two_tasks();
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, true, TaskId(0), 0, 2});  // bogus resume
+  // A bogus resume: the instance never started.
+  t.items.push_back(ScheduleItem{0, true, TaskId(0), 0, 2, {}});
   const DispatcherRun run = simulate_dispatcher(s, t);
   EXPECT_FALSE(run.ok());
   ASSERT_FALSE(run.faults.empty());
@@ -302,9 +303,9 @@ TEST(DispatcherSim, EarlyCompletionSkipsStaleResumes) {
   ASSERT_TRUE(s.validate().ok());
   ScheduleTable t;
   t.schedule_period = 10;
-  t.items.push_back(ScheduleItem{0, false, TaskId(1), 0, 3});
-  t.items.push_back(ScheduleItem{3, false, TaskId(0), 0, 1});
-  t.items.push_back(ScheduleItem{4, true, TaskId(1), 0, 1});
+  t.items.push_back(ScheduleItem{0, false, TaskId(1), 0, 3, {}});
+  t.items.push_back(ScheduleItem{3, false, TaskId(0), 0, 1, {}});
+  t.items.push_back(ScheduleItem{4, true, TaskId(1), 0, 1, {}});
 
   DispatchSimOptions early;
   early.min_execution_fraction = 0.25;  // C may finish within 1..4 units

@@ -43,10 +43,7 @@ AttributionRecorder::AttributionRecorder(const tpn::TimePetriNet& net,
   std::uint32_t task_limit = 0;
   for (PlaceId p : net.place_ids()) {
     const tpn::Place& place = net.place(p);
-    if (place.role == tpn::PlaceRole::kMissPending ||
-        place.role == tpn::PlaceRole::kMissed) {
-      miss_places_.push_back(p);
-    } else if (is_resource(place.role)) {
+    if (is_resource(place.role)) {
       resource_places_.push_back(p);
     }
     if (place.task.valid()) {
@@ -76,7 +73,7 @@ void AttributionRecorder::record_deadline(const tpn::Marking& m) {
   if (!enabled_) {
     return;
   }
-  for (PlaceId p : miss_places_) {
+  for (PlaceId p : net_->miss_places()) {
     if (m[p] > 0) {
       ++counters_.deadline_hits[p.value()];
     }

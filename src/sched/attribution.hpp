@@ -42,9 +42,10 @@ struct AttributionCounters {
   void merge(const AttributionCounters& other);
 };
 
-/// Recorder bound to one net. Construction precomputes the miss and
-/// resource place lists from roles; when `enabled` is false every record
-/// call returns on the first branch.
+/// Recorder bound to one validated net. Construction precomputes the
+/// resource place list from roles (the miss places come from the net's
+/// role index); when `enabled` is false every record call returns on the
+/// first branch.
 class AttributionRecorder {
  public:
   AttributionRecorder() = default;
@@ -72,7 +73,6 @@ class AttributionRecorder {
 
   const tpn::TimePetriNet* net_ = nullptr;
   bool enabled_ = false;
-  std::vector<PlaceId> miss_places_;
   std::vector<PlaceId> resource_places_;
   AttributionCounters counters_;
 };

@@ -97,14 +97,14 @@ SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
     BbFrame& top = stack.back();
     if (top.next >= top.candidates.size()) {
       path.resize(top.edge_at);
-      w.retire(std::move(top.candidates));
+      w.retire(std::move(top));
       stack.pop_back();
       ++w.stats.backtracks;
       continue;
     }
     const Candidate cand = top.candidates[top.next++];
     const TransitionId t = cand.fireable.transition;
-    BbFrame child{{{}, w.buffer()}, top.cost, top.last_compute, top.salt};
+    BbFrame child{w.fresh(), top.cost, top.last_compute, top.salt};
     if (!switches) {
       child.cost += cand.delay;
     } else if (net.transition(t).role == tpn::TransitionRole::kCompute) {
@@ -116,7 +116,7 @@ SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
       last = task;
     }
     if (child.cost >= best_cost) {
-      w.retire(std::move(child.candidates));
+      w.retire(std::move(child));
       continue;  // cannot improve the incumbent
     }
     w.cost = child.cost;
@@ -128,7 +128,7 @@ SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
       stack.push_back(std::move(child));
       continue;
     }
-    w.retire(std::move(child.candidates));
+    w.retire(std::move(child));
     if (r == Admit::kFinal) {
       if (w.status != SearchStatus::kFeasible) {
         stop = w.status;
@@ -220,9 +220,6 @@ DfsScheduler::DfsScheduler(const tpn::TimePetriNet& net,
                            SchedulerOptions options)
     : net_(&net), semantics_(net), options_(options) {
   EZRT_CHECK(net.validated(), "DfsScheduler requires a validated net");
-  goal_ = [this](const tpn::Marking& m) {
-    return tpn::is_final_marking(*net_, m);
-  };
 }
 
 SearchOutcome DfsScheduler::search() const {

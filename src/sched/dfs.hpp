@@ -233,8 +233,9 @@ struct SearchOutcome {
   AttributionCounters attribution;
 };
 
-/// Goal predicate over markings; the default accepts any marking with a
-/// token in an End-role place (m(pend) = 1, §3.3.1b).
+/// Goal predicate over markings. An empty predicate (the default) is the
+/// final marking M_F: a token in an End-role place (m(pend) = 1,
+/// §3.3.1b), read from the net's role index.
 using GoalPredicate = std::function<bool(const tpn::Marking&)>;
 
 class DfsScheduler {
@@ -243,7 +244,7 @@ class DfsScheduler {
   explicit DfsScheduler(const tpn::TimePetriNet& net,
                         SchedulerOptions options = {});
 
-  /// Overrides the goal (used by nets without a join block).
+  /// Overrides the default goal (used by nets without a join block).
   void set_goal(GoalPredicate goal) { goal_ = std::move(goal); }
 
   /// Runs the search from s0. With threads == 0 the search is fully

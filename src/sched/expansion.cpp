@@ -14,14 +14,17 @@ Expander::Expander(const tpn::TimePetriNet& net,
                    const SchedulerOptions& options)
     : net_(&net), semantics_(&semantics), options_(&options) {}
 
-State Expander::fire(const State& s, const Candidate& c) const {
+void Expander::fire_into(const State& s, const Candidate& c,
+                         State& out) const {
   // The incremental engine trusts the candidate's precomputed domain (it
   // came out of fireable_into on the same state) and skips the rescan; the
   // reference engine re-runs the dense Definition 3.1 and strips the
   // enabled-set cache, so the whole search stays on the dense code paths.
-  return options_->engine == SuccessorEngine::kIncremental
-             ? semantics_->fire_fireable(s, c.fireable, c.delay)
-             : semantics_->fire_reference(s, c.fireable.transition, c.delay);
+  if (options_->engine == SuccessorEngine::kIncremental) {
+    semantics_->fire_into(s, c.fireable, c.delay, out);
+  } else {
+    out = semantics_->fire_reference(s, c.fireable.transition, c.delay);
+  }
 }
 
 void Expander::expand(const State& s, std::vector<Candidate>& candidates) {

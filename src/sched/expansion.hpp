@@ -22,7 +22,7 @@ namespace ezrt::sched {
 
 /// One branching alternative: fire `fireable.transition` after `delay`.
 /// The full FireableTransition is kept so the firing can go through
-/// Semantics::fire_fireable without re-deriving the domain.
+/// Semantics::fire_into without re-deriving the domain.
 struct Candidate {
   tpn::FireableTransition fireable;
   Time delay;
@@ -51,9 +51,10 @@ class Expander {
   /// candidate sequence, independent of which engine or thread asks.
   void expand(const tpn::State& s, std::vector<Candidate>& out);
 
-  /// Fires one candidate under the configured successor engine.
-  [[nodiscard]] tpn::State fire(const tpn::State& s,
-                                const Candidate& c) const;
+  /// Fires one candidate under the configured successor engine into
+  /// `out`, which may be `s` itself (Semantics::fire_into).
+  void fire_into(const tpn::State& s, const Candidate& c,
+                 tpn::State& out) const;
 
   [[nodiscard]] const Counters& counters() const { return counters_; }
 

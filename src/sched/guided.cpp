@@ -41,7 +41,8 @@ struct EntryWorse {
 /// The heap and level frontiers over the shared admission step. Admitted
 /// frames live in an append-only arena with parent links; their entering
 /// events sit in one flat vector, so a goal's trace is rebuilt by walking
-/// the parents.
+/// the parents. A frame that was expanded or dropped from the beam hands
+/// its state back to the worker's pool and keeps only those links.
 class GuidedSearch {
  public:
   GuidedSearch(const tpn::TimePetriNet& net, const SchedulerOptions& options,
@@ -80,11 +81,11 @@ class GuidedSearch {
   template <typename Push>
   std::optional<SearchStatus> expand(std::uint32_t idx, Push&& push) {
     for (std::size_t i = 0; i < nodes_[idx].candidates.size(); ++i) {
-      Frame child{{}, w_.buffer()};
+      Frame child = w_.fresh();
       const Admit r = w_.admit(nodes_[idx], nodes_[idx].candidates[i],
                                nodes_.size(), child);
       if (r == Admit::kPruned) {
-        w_.retire(std::move(child.candidates));
+        w_.retire(std::move(child));
         continue;
       }
       if (r == Admit::kFinal) {
@@ -100,9 +101,9 @@ class GuidedSearch {
       nodes_.push_back(std::move(child));
       push(entry(static_cast<std::uint32_t>(nodes_.size() - 1)));
     }
-    // An expanded node keeps its state and edge (trace reconstruction);
-    // only the candidate buffer goes back to the pool.
-    w_.retire(std::move(nodes_[idx].candidates));
+    // An expanded node keeps only its trace links (parent and edge);
+    // its state and candidate buffer go back to the pools.
+    w_.retire(std::move(nodes_[idx]));
     return std::nullopt;
   }
 
@@ -167,6 +168,9 @@ class GuidedSearch {
         if (scored.size() > width) {
           w_.stats.beam_dropped += scored.size() - width;
           dropped = true;
+          for (std::size_t i = width; i < scored.size(); ++i) {
+            w_.retire(std::move(nodes_[scored[i].node]));
+          }
           scored.resize(width);
         }
         level.swap(scored);
@@ -184,6 +188,7 @@ class GuidedSearch {
       width = width > (1u << 30) ? 0xffffffffu : width * 2;
       peak_bytes_ = std::max(peak_bytes_, shared_.visited->memory_bytes());
       shared_.visited.emplace(1, 1);
+      w_.memo.clear();
     }
   }
 

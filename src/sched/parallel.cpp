@@ -110,7 +110,7 @@ class ParallelSearch {
       const std::size_t path_len = frame.edge_at + frame.events;
       while (frame.next + (top ? 1 : 0) < frame.candidates.size() &&
              pool_.pending() < hunger) {
-        WorkItem donated{Frame{{}, w.buffer()}, {}};
+        WorkItem donated{w.fresh(), {}};
         const Admit r = w.admit(frame, frame.candidates[frame.next++],
                                 w.stack.size(), donated.frame);
         if (r == Admit::kAdmitted) {
@@ -119,7 +119,7 @@ class ParallelSearch {
           ++w.donations;
           continue;
         }
-        w.retire(std::move(donated.frame.candidates));
+        w.retire(std::move(donated.frame));
         if (r == Admit::kFinal) {
           conclude(w.status, w.trace_to(item, path_len));
           return;

@@ -78,21 +78,20 @@ ReachabilityResult explore(const tpn::TimePetriNet& net,
       result.peak_frontier =
           std::max<std::uint64_t>(result.peak_frontier, frontier);
       for (const Candidate& cand : level[i].candidates) {
-        Frame child{{}, w.buffer()};
+        Frame child = w.fresh();
         const Admit r = w.admit(level[i], cand, frontier, child);
         if (r == Admit::kAdmitted) {
           result.deadlock_found |= dead_end(child);
           next.push_back(std::move(child));
           continue;
         }
-        w.retire(std::move(child.candidates));
+        w.retire(std::move(child));
         if (r == Admit::kFinal) {
           stop = w.status;
           break;
         }
       }
-      w.retire(std::move(level[i].candidates));
-      level[i].state = {};  // expanded: free it before the level ends
+      w.retire(std::move(level[i]));  // expanded: recycle its state
     }
     level.swap(next);
     next.clear();

@@ -26,13 +26,6 @@ SearchShared::SearchShared(const tpn::TimePetriNet& net,
   } else {
     costs.emplace();
   }
-  for (PlaceId p : net.place_ids()) {
-    const tpn::PlaceRole role = net.place(p).role;
-    if (role == tpn::PlaceRole::kMissPending ||
-        role == tpn::PlaceRole::kMissed) {
-      miss_places_.push_back(p);
-    }
-  }
   if (options.progress != nullptr) {
     // Workers publish counter growth, so a reused sink restarts at zero.
     options.progress->publish(0, 0, 0, 0);
@@ -107,7 +100,7 @@ Admit SearchWorker::admit_root(Frame& root) {
   ++stats.states_visited;
   const std::uint64_t n =
       shared.states.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (shared.goal(s0.marking())) {
+  if (shared.is_goal(s0.marking())) {
     return conclude(SearchStatus::kFeasible);
   }
   if (budget_spent(n)) {
@@ -125,25 +118,30 @@ Admit SearchWorker::admit_root(Frame& root) {
 Admit SearchWorker::admit(const Frame& parent, Candidate cand,
                           std::size_t frames, Frame& child) {
   edge.clear();
-  child.state = expander.fire(parent.state, cand);
+  corridor_.clear();
+  expander.fire_into(parent.state, cand, child.state);
   ++stats.transitions_fired;
   child.depth = parent.depth + 1;
   const tpn::State& s = child.state;
   tpn::StateClassifier::CanonicalDigest key;
-  // With class keys this loop is the corridor chase (docs/search.md §3):
-  // single-candidate successors are walked inline until a decision state,
-  // a dead end or a prune. Interior states are only checked against the
-  // table (a snapshot under concurrency), so only decision states are
-  // inserted and counted.
+  // With class keys this loop is the corridor chase (docs/search.md §3.1):
+  // single-candidate successors are fired in place until a decision
+  // state, a dead end or a prune. Only decision states are claimed and
+  // counted; the interiors go to the memo once the claim has decided
+  // their corridor.
   for (;;) {
     edge.push_back(
         FiringEvent{cand.fireable.transition, cand.delay, s.elapsed()});
     if (auto tripped = poll_guard([&] {
-          return shared.table_bytes() + frames * shared.frame_bytes;
+          // The table is exact; this worker's frontier and memo stand in
+          // for every worker's.
+          return shared.table_bytes() + frames * shared.frame_bytes +
+                 memo.memory_bytes() *
+                     std::max<std::uint32_t>(1, shared.threads);
         })) {
       return conclude(*tripped);
     }
-    if (shared.has_miss(s.marking())) {
+    if (tpn::has_deadline_miss(shared.net, s.marking())) {
       ++stats.pruned_deadline;
       attribution.record_deadline(s.marking());
       return Admit::kPruned;
@@ -152,7 +150,15 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
       key.digest = s.digest();
       break;
     }
-    if (shared.goal(s.marking())) {
+    const tpn::StateDigest concrete = s.digest();
+    if (memo.contains(concrete)) {
+      // The chase would end at a decided claim, as would one from every
+      // interior that led here.
+      memoize_corridor();
+      ++stats.pruned_visited;
+      return Admit::kPruned;
+    }
+    if (shared.is_goal(s.marking())) {
       return conclude(SearchStatus::kFeasible);
     }
     eval = shared.classifier.evaluate(s, shared.semantics, scratch);
@@ -164,19 +170,24 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
     }
     key = shared.classifier.canonical_digest(s, shared.semantics);
     expander.expand(s, child.candidates);
-    if (child.candidates.size() != 1 || edge.size() > kCorridorCap) {
-      break;  // a decision state (or the corridor safety valve)
+    if (child.candidates.size() != 1) {
+      break;  // a decision state
     }
-    if (shared.visited->contains(key.digest)) {
-      ++stats.pruned_visited;  // the corridor rejoined an explored class
-      return Admit::kPruned;
+    if (edge.size() > kCorridorCap) {
+      // Where the safety valve stops depends on where the chase began,
+      // so these interiors are not memoized.
+      corridor_.clear();
+      break;
     }
+    corridor_.push_back(concrete);
     cand = child.candidates[0];
-    child.state = expander.fire(s, cand);
+    expander.fire_into(s, cand, child.state);  // in place
     ++stats.transitions_fired;
   }
 
-  if (!claim(key.digest)) {
+  const bool claimed = claim(key.digest);
+  memoize_corridor();
+  if (!claimed) {
     ++stats.pruned_visited;
     return Admit::kPruned;
   }
@@ -185,7 +196,7 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
   const std::uint64_t n =
       shared.states.fetch_add(1, std::memory_order_relaxed) + 1;
   publish(n, child.depth);
-  if (!shared.classes_on && shared.goal(s.marking())) {
+  if (!shared.classes_on && shared.is_goal(s.marking())) {
     return conclude(SearchStatus::kFeasible);
   }
   if (budget_spent(n)) {
@@ -200,6 +211,36 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
   }
   stats.max_depth = std::max(stats.max_depth, child.depth);
   return Admit::kAdmitted;
+}
+
+void CorridorMemo::insert(tpn::StateDigest d) {
+  if ((d.a | d.b) == 0) {
+    return;
+  }
+  if ((count_ + 1) * 4 > slots_.size() * 3) {
+    if (slots_.size() >= kMaxSlots) {
+      return;  // at the cap: stop recording
+    }
+    std::vector<tpn::StateDigest> old = std::move(slots_);
+    slots_.assign(old.empty() ? kMinSlots : old.size() * 2, {});
+    count_ = 0;
+    for (const tpn::StateDigest& o : old) {
+      if ((o.a | o.b) != 0) {
+        insert(o);
+      }
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = d.a & mask;; i = (i + 1) & mask) {
+    if (slots_[i].a == d.a && slots_[i].b == d.b) {
+      return;
+    }
+    if ((slots_[i].a | slots_[i].b) == 0) {
+      slots_[i] = d;
+      ++count_;
+      return;
+    }
+  }
 }
 
 bool SearchWorker::claim_cheaper(tpn::StateDigest key) {

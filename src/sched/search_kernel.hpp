@@ -2,9 +2,9 @@
 // "Admission step and frontiers"): the work done on each fired successor
 // before it joins the frontier,
 //
-//   fire -> guard -> miss -> [class keys: goal -> doom -> key -> corridor]
-//        -> visited claim -> count + progress -> [concrete keys: goal]
-//        -> state budget -> expand
+//   fire -> guard -> miss -> [class keys: memo -> goal -> doom -> key
+//        -> corridor] -> visited claim -> count + progress
+//        -> [concrete keys: goal] -> state budget -> expand
 //
 // is SearchWorker::admit. An engine is only the frontier that picks which
 // admitted state expands next: a stack (serial DFS, each parallel worker
@@ -103,9 +103,10 @@ class SearchShared {
   SearchShared(const tpn::TimePetriNet& net, const SchedulerOptions& options,
                const GoalPredicate& goal, std::uint32_t threads);
 
-  [[nodiscard]] bool has_miss(const tpn::Marking& m) const {
-    return std::any_of(miss_places_.begin(), miss_places_.end(),
-                       [&](PlaceId p) { return m[p] > 0; });
+  /// The goal test: the caller's predicate, or by default the final
+  /// marking M_F, read from the net's role index.
+  [[nodiscard]] bool is_goal(const tpn::Marking& m) const {
+    return goal ? goal(m) : tpn::is_final_marking(net, m);
   }
 
   /// Folds the workers' statistics, attribution and telemetry into `out`,
@@ -136,9 +137,54 @@ class SearchShared {
   [[nodiscard]] std::uint64_t table_bytes() const {
     return costs ? costs->memory_bytes() : visited->memory_bytes();
   }
+};
+
+/// One worker's memo of corridor interiors (docs/search.md §3.1): the
+/// concrete digests of the single-candidate states a corridor chase
+/// passed through on its way to a visited claim. Chasing from such a
+/// state again is deterministic and ends at that claim, which now fails,
+/// so a chased state found here is cut as a visited prune without
+/// re-firing the corridor. Open addressing over 16-byte slots: it starts
+/// at kMinSlots, doubles at 3/4 load up to kMaxSlots and then stops
+/// recording (a digest it does not hold only costs the re-chase). Keys
+/// are concrete digests, never capped class keys: capping merges states
+/// whose continuations differ (docs/search.md §3.2).
+class CorridorMemo {
+ public:
+  [[nodiscard]] bool contains(tpn::StateDigest d) const {
+    if (slots_.empty() || (d.a | d.b) == 0) {
+      return false;  // (0, 0) marks an empty slot and is never recorded
+    }
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = d.a & mask;; i = (i + 1) & mask) {
+      if (slots_[i].a == d.a && slots_[i].b == d.b) {
+        return true;
+      }
+      if ((slots_[i].a | slots_[i].b) == 0) {
+        return false;
+      }
+    }
+  }
+
+  void insert(tpn::StateDigest d);
+
+  /// Forgets every corridor; required whenever the visited table the
+  /// recorded claims went to is replaced.
+  void clear() {
+    slots_ = {};
+    count_ = 0;
+  }
+
+  [[nodiscard]] std::uint64_t memory_bytes() const {
+    return slots_.size() * sizeof(tpn::StateDigest);
+  }
 
  private:
-  std::vector<PlaceId> miss_places_;
+  static constexpr std::size_t kMinSlots = 256;       ///< 4 KiB
+  static constexpr std::size_t kMaxSlots = 1u << 16;  ///< 1 MiB
+
+  std::vector<tpn::StateDigest> slots_;
+  std::size_t count_ = 0;
 };
 
 /// One thread's share of a search: its expander, counters and scratch.
@@ -193,17 +239,22 @@ class alignas(64) SearchWorker {
                       stats.pruned_deadline + stats.pruned_visited, depth);
   }
 
-  /// Candidate buffers are recycled so expansion stops allocating once
-  /// the search reaches steady state.
-  std::vector<Candidate> buffer() {
-    std::vector<Candidate> v;
-    if (!pool_.empty()) {
-      v = std::move(pool_.back());
-      pool_.pop_back();
-    }
-    return v;
+  /// A frame whose state and candidate buffer are recycled from this
+  /// worker's pools: admission copy-assigns the parent into the state and
+  /// expansion refills the buffer, so neither allocates once the search
+  /// reaches steady state.
+  Frame fresh() {
+    Frame f;
+    f.state = take(state_pool_);
+    f.candidates = take(candidate_pool_);
+    return f;
   }
-  void retire(std::vector<Candidate>&& v) { pool_.push_back(std::move(v)); }
+  /// Hands the state and buffer of a popped, pruned or expanded frame
+  /// back to the pools; the frame keeps its trace links.
+  void retire(Frame&& f) {
+    state_pool_.push_back(std::move(f.state));
+    candidate_pool_.push_back(std::move(f.candidates));
+  }
 
   SearchShared& shared;
   const std::uint32_t tid;
@@ -225,6 +276,9 @@ class alignas(64) SearchWorker {
   /// clocks do not hold (branch-and-bound's running task per core).
   std::uint64_t cost = 0;
   std::uint64_t salt = 0;
+  /// This worker's corridor memo. Clear it whenever shared.visited is
+  /// replaced: its cuts point at claims in that table.
+  CorridorMemo memo;
 
  private:
   Admit conclude(SearchStatus s) {
@@ -247,10 +301,29 @@ class alignas(64) SearchWorker {
   }
   [[gnu::noinline]] bool claim_cheaper(tpn::StateDigest key);
 
+  void memoize_corridor() {
+    for (const tpn::StateDigest& d : corridor_) {
+      memo.insert(d);
+    }
+  }
+
+  template <typename T>
+  static T take(std::vector<T>& pool) {
+    T v;
+    if (!pool.empty()) {
+      v = std::move(pool.back());
+      pool.pop_back();
+    }
+    return v;
+  }
+
   const bool heuristic_;
   const bool guarded_;
   ProgressCursor progress_;
-  std::vector<std::vector<Candidate>> pool_;
+  std::vector<tpn::State> state_pool_;
+  std::vector<std::vector<Candidate>> candidate_pool_;
+  /// Concrete digests of the current corridor's interior states.
+  std::vector<tpn::StateDigest> corridor_;
 };
 
 template <typename Between>
@@ -266,12 +339,12 @@ std::optional<SearchStatus> SearchWorker::run_stack(WorkItem& item,
     Frame& top = stack.back();
     if (top.next >= top.candidates.size()) {
       path.resize(top.edge_at);
-      retire(std::move(top.candidates));
+      retire(std::move(top));
       stack.pop_back();
       ++stats.backtracks;
       continue;
     }
-    Frame child{{}, buffer()};
+    Frame child = fresh();
     const Admit r =
         admit(top, top.candidates[top.next++], stack.size(), child);
     if (r == Admit::kAdmitted) {
@@ -281,7 +354,7 @@ std::optional<SearchStatus> SearchWorker::run_stack(WorkItem& item,
       stack.push_back(std::move(child));
       continue;
     }
-    retire(std::move(child.candidates));
+    retire(std::move(child));
     if (r == Admit::kFinal) {
       if (status == SearchStatus::kFeasible) {
         trace = trace_to(item, path.size());

@@ -79,11 +79,10 @@ class CasVisitedSet {
     return shard.table.insert(digest.a, digest.b, tid);
   }
 
-  /// Membership test without insertion. Used by the corridor chase of the
-  /// state-class admission (docs/search.md §3) to cut a forced chain that
-  /// rejoined explored territory before it reaches a decision state. A
-  /// false result is only a snapshot under concurrency — the later
-  /// insert() remains the authoritative exactly-once admission.
+  /// Membership test without insertion; the search itself only inserts,
+  /// and the property tests check membership through this. A false
+  /// result is only a snapshot under concurrency — insert() remains the
+  /// authoritative exactly-once admission.
   [[nodiscard]] bool contains(tpn::StateDigest digest) const {
     const Shard& shard =
         *shards_[static_cast<std::size_t>(digest.a) & shard_mask_];

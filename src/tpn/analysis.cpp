@@ -29,31 +29,6 @@ bool structurally_conflict_free(const TimePetriNet& net, TransitionId t) {
   return true;
 }
 
-bool has_deadline_miss(const TimePetriNet& net, const Marking& m) {
-  return missed_task(net, m).valid();
-}
-
-TaskId missed_task(const TimePetriNet& net, const Marking& m) {
-  for (PlaceId p : net.place_ids()) {
-    const Place& place = net.place(p);
-    if ((place.role == PlaceRole::kMissPending ||
-         place.role == PlaceRole::kMissed) &&
-        m[p] > 0) {
-      return place.task;
-    }
-  }
-  return TaskId();
-}
-
-bool is_final_marking(const TimePetriNet& net, const Marking& m) {
-  for (PlaceId p : net.place_ids()) {
-    if (net.place(p).role == PlaceRole::kEnd && m[p] > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string describe_marking(const TimePetriNet& net, const Marking& m) {
   std::ostringstream os;
   bool first = true;

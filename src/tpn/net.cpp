@@ -236,6 +236,17 @@ Status TimePetriNet::validate() {
     }
   }
 
+  end_places_.clear();
+  miss_places_.clear();
+  for (PlaceId p : places_.ids()) {
+    const PlaceRole role = places_[p].role;
+    if (role == PlaceRole::kEnd) {
+      end_places_.push_back(p);
+    } else if (role == PlaceRole::kMissPending || role == PlaceRole::kMissed) {
+      miss_places_.push_back(p);
+    }
+  }
+
   validated_ = true;
   return Status();
 }

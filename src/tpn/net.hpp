@@ -173,6 +173,17 @@ class TimePetriNet {
     return conflict_free_[t.value()] != 0;
   }
 
+  /// The End-role places (goal) and the kMissPending/kMissed places
+  /// (deadline miss), in id order (computed by validate()). The goal and
+  /// miss tests read these on every searched state instead of scanning
+  /// the role of every place.
+  [[nodiscard]] std::span<const PlaceId> end_places() const {
+    return end_places_;
+  }
+  [[nodiscard]] std::span<const PlaceId> miss_places() const {
+    return miss_places_;
+  }
+
   /// Initial marking m0 as a dense token vector.
   [[nodiscard]] std::vector<std::uint32_t> initial_marking() const;
 
@@ -186,8 +197,8 @@ class TimePetriNet {
   /// every transition has at least one input (the building blocks never
   /// produce source transitions, and a source transition with a bounded
   /// interval would make every marking diverge). Also populates the
-  /// consumer index, the affected-set index and the conflict-free bits.
-  /// Must be called once after construction.
+  /// consumer index, the affected-set index, the conflict-free bits and
+  /// the role index. Must be called once after construction.
   [[nodiscard]] Status validate();
 
   [[nodiscard]] bool validated() const { return validated_; }
@@ -204,6 +215,8 @@ class TimePetriNet {
   std::vector<std::uint32_t> affected_offsets_;
   std::vector<TransitionId> affected_flat_;
   std::vector<std::uint8_t> conflict_free_;
+  std::vector<PlaceId> end_places_;
+  std::vector<PlaceId> miss_places_;
   bool validated_ = false;
 };
 

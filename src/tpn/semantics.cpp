@@ -122,43 +122,41 @@ void Semantics::fireable_into(const State& s, bool priority_filter,
   }
 }
 
-State Semantics::fire_incremental(const State& s, TransitionId t,
-                                  Time q) const {
-  State next = s;
-  if (!next.enabled_cache_valid()) {
-    refresh_enabled_cache(next);  // reflects the pre-firing marking m
+void Semantics::advance(State& s, TransitionId t, Time q) const {
+  if (!s.enabled_cache_valid()) {
+    refresh_enabled_cache(s);  // reflects the pre-firing marking m
   }
-  if (!next.digest_valid()) {
-    next.refresh_digest();
+  if (!s.digest_valid()) {
+    s.refresh_digest();
   }
 
   // (1) Token flow: m' = m - W(p,t) + W(t,p) — touches only •t ∪ t•, and
   // the identity digest is patched cell-by-cell alongside.
   for (const Arc& arc : net_->inputs(t)) {
-    const std::uint32_t before = next.marking_[arc.place];
-    next.marking_.remove(arc.place, arc.weight);
-    next.digest_token_update(arc.place.value(), before, before - arc.weight);
+    const std::uint32_t before = s.marking_[arc.place];
+    s.marking_.remove(arc.place, arc.weight);
+    s.digest_token_update(arc.place.value(), before, before - arc.weight);
   }
   for (const Arc& arc : net_->outputs(t)) {
-    const std::uint32_t before = next.marking_[arc.place];
-    next.marking_.add(arc.place, arc.weight);
-    next.digest_token_update(arc.place.value(), before, before + arc.weight);
+    const std::uint32_t before = s.marking_[arc.place];
+    s.marking_.add(arc.place, arc.weight);
+    s.digest_token_update(arc.place.value(), before, before + arc.weight);
   }
 
   // (2) Advance the clock of every transition enabled in m by q. For
   // transitions outside affected(t) whose enabledness cannot change, this
   // IS the Definition 3.1 update; for the rest, step (3) overrides.
   if (q > 0) {
-    const auto& words = next.enabled_words_;
+    const auto& words = s.enabled_words_;
     for (std::size_t wi = 0; wi < words.size(); ++wi) {
       std::uint64_t w = words[wi];
       while (w != 0) {
         const auto bit = static_cast<std::uint32_t>(std::countr_zero(w));
         w &= w - 1;
         const std::size_t i = wi * 64 + bit;
-        const Time c = next.clocks_[i];
-        next.clocks_[i] = c + q;
-        next.digest_clock_update(i, c, c + q);
+        const Time c = s.clocks_[i];
+        s.clocks_[i] = c + q;
+        s.digest_clock_update(i, c, c + q);
       }
     }
   }
@@ -168,31 +166,30 @@ State Semantics::fire_incremental(const State& s, TransitionId t,
   // marking, so disabled-then-re-enabled within this one firing lands in
   // the "newly enabled" case by comparing against the cached m bits).
   for (TransitionId u : net_->affected(t)) {
-    const bool enabled_before = next.cached_enabled(u);
+    const bool enabled_before = s.cached_enabled(u);
     bool reset = false;
-    if (!is_enabled(next.marking_, u)) {
+    if (!is_enabled(s.marking_, u)) {
       if (enabled_before) {
-        next.clear_enabled_bit(u);
+        s.clear_enabled_bit(u);
       }
       reset = true;  // canonical form for disabled
     } else if (!enabled_before || u == t) {
       if (!enabled_before) {
-        next.set_enabled_bit(u);
+        s.set_enabled_bit(u);
       }
       reset = true;  // newly enabled, or the fired one
     }
     // else: persistently enabled and not fired — step (2) advanced it.
     if (reset) {
-      const Time c = next.clocks_[u.value()];
+      const Time c = s.clocks_[u.value()];
       if (c != 0) {
-        next.clocks_[u.value()] = 0;
-        next.digest_clock_update(u.value(), c, 0);
+        s.clocks_[u.value()] = 0;
+        s.digest_clock_update(u.value(), c, 0);
       }
     }
   }
 
-  next.elapsed_ = s.elapsed_ + q;
-  return next;
+  s.elapsed_ += q;
 }
 
 State Semantics::fire(const State& s, TransitionId t, Time q) const {
@@ -205,15 +202,20 @@ State Semantics::fire(const State& s, TransitionId t, Time q) const {
   EZRT_CHECK(q >= dlb && q <= bound,
              "fire: delay outside the firing domain of '" +
                  net_->transition(t).name + "'");
-  return fire_incremental(s, t, q);
+  State next = s;
+  advance(next, t, q);
+  return next;
 }
 
-State Semantics::fire_fireable(const State& s, const FireableTransition& f,
-                               Time q) const {
+void Semantics::fire_into(const State& s, const FireableTransition& f, Time q,
+                          State& out) const {
   EZRT_ASSERT(q >= f.earliest && q <= f.latest,
-              "fire_fireable: delay outside the precomputed domain of '" +
+              "fire_into: delay outside the precomputed domain of '" +
                   net_->transition(f.transition).name + "'");
-  return fire_incremental(s, f.transition, q);
+  if (&out != &s) {
+    out = s;
+  }
+  advance(out, f.transition, q);
 }
 
 State Semantics::fire_reference(const State& s, TransitionId t,

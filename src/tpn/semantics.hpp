@@ -82,9 +82,13 @@ class Semantics {
   /// Hot-path firing for the scheduler: trusts that `f` came from
   /// `fireable(s)` and `q` lies in its domain (asserted in debug builds
   /// only), skipping the enabledness and domain re-checks `fire` pays.
-  [[nodiscard]] State fire_fireable(const State& s,
-                                    const FireableTransition& f,
-                                    Time q) const;
+  /// The successor is written to caller-owned storage: `out` is
+  /// copy-assigned from `s` (reusing its buffers, whatever state or net
+  /// they last held) and then fired in place; `out` may be `s` itself.
+  /// The search recycles states through this, so a firing stops
+  /// allocating once its pools are warm (docs/semantics.md §5).
+  void fire_into(const State& s, const FireableTransition& f, Time q,
+                 State& out) const;
 
   /// The literal dense Definition 3.1 (full |T| rescan, no cached enabled
   /// set): the reference implementation the incremental engine is checked
@@ -103,9 +107,9 @@ class Semantics {
   /// Rebuilds s's enabled bitset from its marking (dense scan).
   void refresh_enabled_cache(State& s) const;
 
-  /// Shared core of fire/fire_fireable: incremental successor computation.
-  [[nodiscard]] State fire_incremental(const State& s, TransitionId t,
-                                       Time q) const;
+  /// Shared core of fire and fire_into: turns `s` into its successor
+  /// incrementally, in place.
+  void advance(State& s, TransitionId t, Time q) const;
 
   const TimePetriNet* net_;
 };

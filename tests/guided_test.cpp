@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "builder/tpn_builder.hpp"
 #include "runtime/dispatcher_sim.hpp"
@@ -193,6 +195,66 @@ TEST(GuidedSearch, WideningBeamRecoversTheExhaustiveVerdict) {
   EXPECT_EQ(out.status, sched::SearchStatus::kInfeasible);
 }
 
+/// The nonzero entries of a dense counter vector, as (index, count).
+[[nodiscard]] std::vector<std::pair<std::size_t, std::uint64_t>> nonzero(
+    const std::vector<std::uint64_t>& counts) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> out;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] != 0) {
+      out.emplace_back(i, counts[i]);
+    }
+  }
+  return out;
+}
+
+// The corridor memo (docs/search.md §3.1) cuts a chased state only where
+// chasing it again would end in a visited prune. So every admission,
+// prune, merge and attribution count keeps the value it had without the
+// memo; only the firings it skips fall below the 220,544 the chase
+// fires without it, and with them best-first's evaluations (190,831).
+TEST(StateClasses, CorridorMemoSavesOnlyFirings) {
+  const spec::Specification s = exhaustive_infeasible_spec();
+  auto model = builder::build_tpn(s);
+  ASSERT_TRUE(model.ok());
+
+  struct Pin {
+    sched::SearchEngine engine;
+    std::uint64_t fired;
+    std::uint64_t evals;
+  };
+  const std::vector<std::pair<std::size_t, std::uint64_t>> deadline_hits = {
+      {12, 8'217}, {21, 1'855}, {38, 13}, {63, 1'394}, {72, 12}, {89, 18'223}};
+  const std::vector<std::pair<std::size_t, std::uint64_t>> contention = {
+      {0, 29'057}, {1, 604}, {2, 13'792}, {3, 8'497}, {4, 2'396}};
+  const std::vector<std::uint64_t> doomed_hits = {
+      1'973, 502, 56, 2'952, 2'261, 0, 1'399, 1'296, 0, 1'005};
+  for (const Pin& pin : {Pin{sched::SearchEngine::kDfs, 200'084, 0},
+                         Pin{sched::SearchEngine::kBestFirst, 200'084,
+                             151'337}}) {
+    SCOPED_TRACE(sched::to_string(pin.engine));
+    sched::SchedulerOptions options = exhaustive_options();
+    options.search_engine = pin.engine;
+    options.collect_attribution = true;
+    const sched::SearchOutcome out =
+        sched::DfsScheduler(model.value().net, options).search();
+    EXPECT_EQ(out.status, sched::SearchStatus::kInfeasible);
+    const sched::SearchStats& st = out.stats;
+    EXPECT_EQ(st.states_visited, 16'692u);
+    EXPECT_EQ(st.pruned_deadline, 29'714u);
+    EXPECT_EQ(st.pruned_visited, 34'148u);
+    EXPECT_EQ(st.pruned_doomed, 11'444u);
+    EXPECT_EQ(st.classes_merged, 76u);
+    EXPECT_EQ(nonzero(out.attribution.deadline_hits), deadline_hits);
+    EXPECT_EQ(nonzero(out.attribution.contention), contention);
+    EXPECT_EQ(out.attribution.doomed_hits, doomed_hits);
+    EXPECT_EQ(out.attribution.doomed_unattributed, 0u);
+
+    EXPECT_LT(st.transitions_fired, 220'544u);
+    EXPECT_EQ(st.transitions_fired, pin.fired);
+    EXPECT_EQ(st.heuristic_evals, pin.evals);
+  }
+}
+
 // -- Guidance quality on feasible models -------------------------------------
 
 TEST(GuidedSearch, BestFirstWithClassesBeatsDfsOnMinePump) {
@@ -256,6 +318,49 @@ TEST(GuidedSearch, BestFirstSchedulesGeneratedWorkloads) {
                                      sched::SchedulerOptions{});
     expect_trace_valid(s.value(), model.value(), oracle, out.trace);
   }
+}
+
+// Beam widening replaces the visited table every pass, and the corridor
+// memo must go with it: a memo that outlived its table would cut
+// corridors whose claims the new pass never made. At width 1 every pass
+// but the last drops states, so the generated sets run several passes.
+// Each verdict must equal DFS's, and each schedule replay and validate.
+TEST(GuidedSearch, WideningBeamWithClassesFindsFeasibleSchedules) {
+  std::vector<spec::Specification> specs = {
+      workload::mine_pump_specification()};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    workload::WorkloadConfig config;
+    config.tasks = 4 + seed % 3;
+    config.utilization = 0.5 + 0.05 * static_cast<double>(seed % 4);
+    config.exclusion_pairs = seed % 2;
+    config.seed = seed;
+    specs.push_back(workload::generate(config).value());
+  }
+  std::size_t feasible = 0;
+  std::uint64_t passes_dropped = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const spec::Specification& s = specs[i];
+    SCOPED_TRACE("set " + std::to_string(i) + " (" + s.name() + ")");
+    auto model = builder::build_tpn(s);
+    ASSERT_TRUE(model.ok());
+    sched::SchedulerOptions options = exhaustive_options();
+    const sched::DfsScheduler dfs(model.value().net, options);
+    const sched::SearchOutcome reference = dfs.search();
+
+    options.search_engine = sched::SearchEngine::kBeam;
+    options.beam_width = 1;
+    options.widen = true;
+    const sched::SearchOutcome out =
+        sched::DfsScheduler(model.value().net, options).search();
+    ASSERT_EQ(out.status, reference.status);
+    passes_dropped += out.stats.beam_dropped > 0 ? 1 : 0;
+    if (out.status == sched::SearchStatus::kFeasible) {
+      ++feasible;
+      expect_trace_valid(s, model.value(), dfs, out.trace);
+    }
+  }
+  EXPECT_GE(feasible, 20u);
+  EXPECT_GE(passes_dropped, 20u);
 }
 
 }  // namespace

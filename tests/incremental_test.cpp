@@ -2,12 +2,21 @@
 // §5): the cached-enabled-set engine must be observationally identical to
 // the dense Definition 3.1 reference — same fireable sets, same successor
 // states, and bit-identical searches (traces, statuses, effort counters)
-// across all model families. Plus direct fire() edge cases the incremental
-// clock maintenance must preserve.
+// across all model families; the in-place firing the search recycles
+// states through, and the net's role index, against dense scans. Plus
+// direct fire() edge cases the incremental clock maintenance must
+// preserve.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "builder/tpn_builder.hpp"
 #include "sched/dfs.hpp"
+#include "tpn/analysis.hpp"
 #include "tpn/semantics.hpp"
 #include "workload/generator.hpp"
 
@@ -188,6 +197,189 @@ TEST(IncrementalEquivalence, StepwiseWalkMatchesReference) {
   }
 }
 
+// -- In-place firing into recycled states ------------------------------------
+
+/// The nets the random walks cover: the three example models and
+/// generated multiprocessor nets (partitioned; global with bus messages
+/// and a sync budget).
+[[nodiscard]] std::vector<std::pair<std::string, TimePetriNet>> walk_nets() {
+  Specification harmonic("harmonic_u40");
+  harmonic.add_processor("cpu0");
+  harmonic.add_task("T1", TimingConstraints{0, 0, 28, 135, 200});
+  harmonic.add_task("T2", TimingConstraints{0, 0, 9, 175, 200});
+  harmonic.add_task("T3", TimingConstraints{0, 0, 12, 162, 200});
+  harmonic.add_task("T4", TimingConstraints{0, 0, 16, 91, 100});
+  std::vector<std::pair<std::string, TimePetriNet>> nets;
+  nets.emplace_back("mine_pump",
+                    build_net(workload::mine_pump_specification()));
+  nets.emplace_back("harmonic_u40", build_net(harmonic));
+  nets.emplace_back("uav_dual_processor",
+                    build_net(workload::uav_autopilot_specification()));
+  for (const auto placement :
+       {workload::Placement::kPartitioned, workload::Placement::kGlobal}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      nets.emplace_back(
+          std::string(placement == workload::Placement::kGlobal
+                          ? "global"
+                          : "partitioned") +
+              " multiproc seed " + std::to_string(seed),
+          build_net(generated(workload::multiproc_scenario(
+              placement, seed == 1, 2 + static_cast<std::uint32_t>(seed),
+              seed))));
+    }
+  }
+  return nets;
+}
+
+/// The role tests as dense scans over every place, written from the
+/// PlaceRole definitions: the oracle for the net's role index.
+[[nodiscard]] bool final_by_scan(const TimePetriNet& net,
+                                 const tpn::Marking& m) {
+  for (const PlaceId p : net.place_ids()) {
+    if (net.place(p).role == tpn::PlaceRole::kEnd && m[p] > 0) {
+      return true;
+    }
+  }
+  return false;
+}
+[[nodiscard]] TaskId missed_by_scan(const TimePetriNet& net,
+                                    const tpn::Marking& m) {
+  for (const PlaceId p : net.place_ids()) {
+    const tpn::PlaceRole role = net.place(p).role;
+    if ((role == tpn::PlaceRole::kMissPending ||
+         role == tpn::PlaceRole::kMissed) &&
+        m[p] > 0) {
+      return net.place(p).task;
+    }
+  }
+  return TaskId();
+}
+
+/// `in_place` (fired by fire_into) against `ref` (fired by
+/// fire_reference): marking, clocks, elapsed time, the enabled set and
+/// count against a dense scan, and the maintained digest against a dense
+/// recomputation. Also checks the role index on the marking.
+void expect_matches_reference(const TimePetriNet& net, const Semantics& sem,
+                              const State& in_place, const State& ref) {
+  ASSERT_TRUE(in_place.same_timed_state(ref));
+  ASSERT_EQ(in_place.elapsed(), ref.elapsed());
+  ASSERT_TRUE(in_place.enabled_cache_valid());
+  ASSERT_EQ(in_place.enabled_words().size(),
+            (net.transition_count() + 63) / 64);
+  std::uint32_t enabled = 0;
+  for (const TransitionId t : net.transition_ids()) {
+    const bool dense = sem.is_enabled(ref.marking(), t);
+    ASSERT_EQ(in_place.cached_enabled(t), dense) << net.transition(t).name;
+    enabled += dense ? 1 : 0;
+  }
+  ASSERT_EQ(in_place.enabled_count(), enabled);
+  ASSERT_TRUE(in_place.digest_valid());
+  const tpn::StateDigest maintained = in_place.digest();
+  const tpn::StateDigest dense = ref.digest();  // no cache: recomputed
+  ASSERT_FALSE(ref.digest_valid());
+  ASSERT_EQ(maintained.a, dense.a);
+  ASSERT_EQ(maintained.b, dense.b);
+
+  ASSERT_EQ(tpn::is_final_marking(net, in_place.marking()),
+            final_by_scan(net, ref.marking()));
+  ASSERT_EQ(tpn::missed_task(net, in_place.marking()),
+            missed_by_scan(net, ref.marking()));
+}
+
+// Random walks fire into one recycled State that starts as a dirty state
+// of a larger net, then alternate between firing into the previous state
+// and firing a state in place. Every step must equal the dense reference.
+TEST(InPlaceFiring, RandomWalksIntoRecycledStatesMatchReference) {
+  const auto nets = walk_nets();
+  // The dirtiest start: the largest net's state a few firings in.
+  const TimePetriNet* largest = &nets.front().second;
+  for (const auto& entry : nets) {
+    if (entry.second.transition_count() > largest->transition_count()) {
+      largest = &entry.second;
+    }
+  }
+  State dirty = State::initial(*largest);
+  {
+    const Semantics sem(*largest);
+    for (int i = 0; i < 10; ++i) {
+      const auto ft = sem.fireable(dirty, false);
+      ASSERT_FALSE(ft.empty());
+      dirty = sem.fire(dirty, ft.back().transition, ft.back().earliest);
+    }
+  }
+
+  std::mt19937_64 rng(20081017);
+  std::size_t misses = 0;
+  for (const auto& [name, net] : nets) {
+    SCOPED_TRACE(name);
+    ASSERT_LE(net.transition_count(), largest->transition_count());
+    const Semantics sem(net);
+    for (int walk = 0; walk < 4; ++walk) {
+      State recycled = dirty;
+      State cur = State::initial(net);
+      State ref = State::initial(net);
+      for (int step = 0; step < 300; ++step) {
+        SCOPED_TRACE("walk " + std::to_string(walk) + " step " +
+                     std::to_string(step));
+        const auto ft = sem.fireable(cur, false);
+        if (ft.empty()) {
+          break;
+        }
+        const FireableTransition f = ft[rng() % ft.size()];
+        const Time width =
+            f.latest == kTimeInfinity ? 3 : f.latest - f.earliest;
+        const Time q = f.earliest + rng() % (std::min<Time>(width, 3) + 1);
+        ref = sem.fire_reference(ref, f.transition, q);
+        if (step % 2 == 0) {
+          sem.fire_into(cur, f, q, recycled);
+          std::swap(cur, recycled);
+        } else {
+          sem.fire_into(cur, f, q, cur);
+        }
+        expect_matches_reference(net, sem, cur, ref);
+        if (HasFatalFailure()) {
+          return;
+        }
+        misses += tpn::has_deadline_miss(net, cur.marking()) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(misses, 0u) << "the walks never exercised the miss index";
+}
+
+// The goal side of the role index: every example model's schedule, fired
+// in place into a recycled state, ends in a marking both the index and
+// the dense scan accept, and no step before it is accepted.
+TEST(InPlaceFiring, SchedulesReachTheFinalMarkingByIndexAndScan) {
+  for (const auto& [name, net] : walk_nets()) {
+    SCOPED_TRACE(name);
+    SchedulerOptions options;
+    options.pruning = sched::PruningMode::kNone;
+    const SearchOutcome out = DfsScheduler(net, options).search();
+    if (out.status != sched::SearchStatus::kFeasible) {
+      continue;
+    }
+    const Semantics sem(net);
+    State cur = State::initial(net);
+    State recycled;
+    for (std::size_t i = 0; i < out.trace.size(); ++i) {
+      ASSERT_FALSE(final_by_scan(net, cur.marking()));
+      ASSERT_FALSE(tpn::is_final_marking(net, cur.marking()));
+      const auto ft = sem.fireable(cur, false);
+      const auto it = std::find_if(ft.begin(), ft.end(), [&](const auto& f) {
+        return f.transition == out.trace[i].transition;
+      });
+      ASSERT_NE(it, ft.end()) << "step " << i;
+      sem.fire_into(cur, *it, out.trace[i].delay, recycled);
+      std::swap(cur, recycled);
+      ASSERT_EQ(cur.elapsed(), out.trace[i].at);
+    }
+    EXPECT_TRUE(final_by_scan(net, cur.marking()));
+    EXPECT_TRUE(tpn::is_final_marking(net, cur.marking()));
+    EXPECT_FALSE(tpn::missed_task(net, cur.marking()).valid());
+  }
+}
+
 // -- fire() edge cases ---------------------------------------------------------
 
 // Self-loop: t consumes and reproduces its own input token. The fired
@@ -282,7 +474,8 @@ TEST(FireEdgeCases, DisabledThenReenabledClockResets) {
   EXPECT_TRUE(sem.fire_reference(s1, x, 3).same_timed_state(s2));
 }
 
-// fire_fireable must agree with fire for candidates drawn from fireable().
+// The trusted firing of a fireable candidate (fire_into, which skips the
+// domain checks) must agree with the checked fire.
 TEST(FireEdgeCases, FireFireableMatchesFire) {
   const TimePetriNet net = build_net(two_tasks());
   const Semantics sem(net);
@@ -294,7 +487,8 @@ TEST(FireEdgeCases, FireFireableMatchesFire) {
     }
     const FireableTransition f = ft.front();
     const State via_fire = sem.fire(s, f.transition, f.earliest);
-    const State via_fast = sem.fire_fireable(s, f, f.earliest);
+    State via_fast;
+    sem.fire_into(s, f, f.earliest, via_fast);
     ASSERT_TRUE(via_fast.same_timed_state(via_fire)) << "step " << step;
     s = via_fast;
   }

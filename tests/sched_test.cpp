@@ -2,6 +2,7 @@
 // modes, partial-order reduction, trace replay and schedule extraction.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -397,6 +398,31 @@ TEST(Dfs, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     EXPECT_EQ(a.trace[i].transition, b.trace[i].transition);
     EXPECT_EQ(a.trace[i].at, b.trace[i].at);
+  }
+}
+
+// The default goal belongs to the search, not to the scheduler object: a
+// copy searched after its original is gone must not reach back into it
+// (under ASan a goal bound to the original reads freed memory).
+TEST(Dfs, CopiedSchedulerOutlivesItsOriginal) {
+  const BuiltModel model = build(workload::mine_pump_specification());
+  for (const StateClassMode classes :
+       {StateClassMode::kOff, StateClassMode::kOn}) {
+    SCOPED_TRACE(to_string(classes));
+    SchedulerOptions options;
+    options.state_classes = classes;
+    const SearchOutcome reference = DfsScheduler(model.net, options).search();
+    ASSERT_EQ(reference.status, SearchStatus::kFeasible);
+
+    auto original = std::make_unique<DfsScheduler>(model.net, options);
+    const DfsScheduler copy = *original;
+    original.reset();
+    const SearchOutcome out = copy.search();
+    EXPECT_EQ(out.status, reference.status);
+    EXPECT_EQ(out.stats.states_visited, reference.stats.states_visited);
+    EXPECT_EQ(out.stats.transitions_fired, reference.stats.transitions_fired);
+    EXPECT_EQ(out.stats.pruned_visited, reference.stats.pruned_visited);
+    EXPECT_EQ(trace_hash(out.trace), trace_hash(reference.trace));
   }
 }
 

@@ -53,11 +53,11 @@ enum class FiringTimePolicy : std::uint8_t {
 
 /// How successors are computed. Both engines implement the same
 /// Definition 3.1 firing rule and must produce bit-identical searches;
-/// kReference exists as the oracle the incremental engine is checked
-/// against (tests/incremental_test.cpp) and for debugging suspected
-/// cache-maintenance bugs in the field.
+/// kReference exists only as the oracle the incremental engine is checked
+/// against (tests/incremental_test.cpp): no CLI flag, serve field or run
+/// option selects it.
 enum class SuccessorEngine : std::uint8_t {
-  kIncremental,  ///< O(|affected(t)|) per firing via the enabled-set cache
+  kIncremental,  ///< O(|affected(t)|) per firing via the maintained bitset
   kReference,    ///< dense O(|T|) rescan per firing (literal Definition 3.1)
 };
 

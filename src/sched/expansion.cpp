@@ -18,8 +18,8 @@ void Expander::fire_into(const State& s, const Candidate& c,
                          State& out) const {
   // The incremental engine trusts the candidate's precomputed domain (it
   // came out of fireable_into on the same state) and skips the rescan; the
-  // reference engine re-runs the dense Definition 3.1 and strips the
-  // enabled-set cache, so the whole search stays on the dense code paths.
+  // reference engine re-runs the dense Definition 3.1 and rebuilds the
+  // successor's enabled set and digest by dense scans.
   if (options_->engine == SuccessorEngine::kIncremental) {
     semantics_->fire_into(s, c.fireable, c.delay, out);
   } else {

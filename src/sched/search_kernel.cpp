@@ -94,9 +94,8 @@ SearchWorker::SearchWorker(SearchShared& shared, std::uint32_t tid,
 Admit SearchWorker::admit_root(Frame& root) {
   root.state = tpn::State::initial(shared.net);
   const tpn::State& s0 = root.state;
-  claim(shared.classes_on
-            ? shared.classifier.canonical_digest(s0, shared.semantics).digest
-            : s0.digest());
+  claim(shared.classes_on ? shared.classifier.canonical_digest(s0).digest
+                          : s0.digest());
   ++stats.states_visited;
   const std::uint64_t n =
       shared.states.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -108,7 +107,7 @@ Admit SearchWorker::admit_root(Frame& root) {
   }
   expander.expand(s0, root.candidates);
   if (heuristic_) {
-    eval = shared.classifier.evaluate(s0, shared.semantics, scratch);
+    eval = shared.classifier.evaluate(s0, scratch);
     ++stats.heuristic_evals;
   }
   stats.max_depth = std::max<std::uint64_t>(stats.max_depth, root.depth);
@@ -161,14 +160,14 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
     if (shared.is_goal(s.marking())) {
       return conclude(SearchStatus::kFeasible);
     }
-    eval = shared.classifier.evaluate(s, shared.semantics, scratch);
+    eval = shared.classifier.evaluate(s, scratch);
     stats.heuristic_evals += heuristic_ ? 1 : 0;
     if (eval.doomed) {
       ++stats.pruned_doomed;
       attribution.record_doomed(eval.doomed_watchdog, s.marking());
       return Admit::kPruned;
     }
-    key = shared.classifier.canonical_digest(s, shared.semantics);
+    key = shared.classifier.canonical_digest(s);
     expander.expand(s, child.candidates);
     if (child.candidates.size() != 1) {
       break;  // a decision state
@@ -204,7 +203,7 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
   }
   if (!shared.classes_on) {
     if (heuristic_) {
-      eval = shared.classifier.evaluate(s, shared.semantics, scratch);
+      eval = shared.classifier.evaluate(s, scratch);
       ++stats.heuristic_evals;
     }
     expander.expand(s, child.candidates);

@@ -74,9 +74,10 @@ class Semantics {
   void fireable_into(const State& s, bool priority_filter,
                      std::vector<FireableTransition>& out) const;
 
-  /// Definition 3.1: fires t at relative time q. Precondition: t fireable
-  /// at s and q inside its firing domain (checked). Successors are
-  /// computed incrementally over affected(t); see docs/semantics.md §5.
+  /// Definition 3.1: fires t at relative time q, as
+  /// `try_fire(s, t, q).value()` (a refused firing is a contract
+  /// violation). The successor is computed incrementally over affected(t);
+  /// see docs/semantics.md §5.
   [[nodiscard]] State fire(const State& s, TransitionId t, Time q) const;
 
   /// Hot-path firing for the scheduler: trusts that `f` came from
@@ -90,24 +91,24 @@ class Semantics {
   void fire_into(const State& s, const FireableTransition& f, Time q,
                  State& out) const;
 
-  /// The literal dense Definition 3.1 (full |T| rescan, no cached enabled
-  /// set): the reference implementation the incremental engine is checked
-  /// against (tests/incremental_test.cpp). Results never carry an
-  /// enabled-set cache, so a search over reference successors exercises
-  /// the dense code paths throughout.
+  /// The literal dense Definition 3.1 (full |T| rescan, no maintained
+  /// enabled set), which then rebuilds the successor's enabled set and
+  /// digest by dense scans too: the reference the incremental engine is
+  /// checked against (tests/incremental_test.cpp).
   [[nodiscard]] State fire_reference(const State& s, TransitionId t,
                                      Time q) const;
 
-  /// Convenience: fire with domain checking reported as a Result instead of
-  /// a contract violation (used by IO/replay paths on untrusted traces).
+  /// Fires t at q after checking both against s's maintained enabled set
+  /// (t enabled, q inside its firing domain), reporting a refusal as a
+  /// Result: IO and replay paths on untrusted traces use this.
   [[nodiscard]] Result<State> try_fire(const State& s, TransitionId t,
                                        Time q) const;
 
  private:
-  /// Rebuilds s's enabled bitset from its marking (dense scan).
-  void refresh_enabled_cache(State& s) const;
+  /// min over s's enabled set of DUB: max_time_advance over the bitset.
+  [[nodiscard]] Time min_upper_bound(const State& s) const;
 
-  /// Shared core of fire and fire_into: turns `s` into its successor
+  /// Shared core of try_fire and fire_into: turns `s` into its successor
   /// incrementally, in place.
   void advance(State& s, TransitionId t, Time q) const;
 

@@ -5,8 +5,16 @@
 // the time elapsed since it last became enabled; disabled transitions are
 // canonically stored as clock 0 so that structurally equal states hash
 // equally.
+//
+// Every State also carries two values derived from its marking and clocks:
+// the enabled set ET(m) as a bitset over transitions, and the identity
+// digest. They are invariants, not caches: State::initial computes both,
+// the firing rule (Semantics) maintains both, and nothing else can change
+// the marking (docs/semantics.md §5). A default-constructed State is an
+// empty placeholder for the firing rule to write into.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -27,41 +35,26 @@ struct StateDigest {
   std::uint64_t b = 0;
 };
 
-inline constexpr std::uint64_t kDigestSeedA = kHashSeed;
-inline constexpr std::uint64_t kDigestSeedB = 0x9e3779b97f4a7c15ull;
-/// Separates the clock cells from the token cells in the digest's index
-/// space (place i and transition i must not cancel each other out).
-inline constexpr std::uint64_t kDigestClockDomain = 0x636c6f636b73ull;
+class Semantics;
 
 class State {
  public:
   State() = default;
 
-  /// The initial state s0 = (m0, 0).
+  /// The initial state s0 = (m0, 0). Precondition: `net` is validated.
   [[nodiscard]] static State initial(const TimePetriNet& net);
 
   [[nodiscard]] const Marking& marking() const { return marking_; }
-  /// Mutable access drops the enabled-set cache: external marking edits
-  /// (hand-built test states, IO) would silently invalidate it, and a
-  /// missing cache merely costs one dense rescan on the next Semantics
-  /// contact. Semantics itself maintains the cache through the firing
-  /// rule and bypasses this accessor.
-  [[nodiscard]] Marking& marking() {
-    enabled_words_.clear();
-    enabled_count_ = 0;
-    digest_valid_ = false;
-    return marking_;
-  }
 
   [[nodiscard]] Time clock(TransitionId t) const {
     return clocks_[t.value()];
   }
+  /// Overrides one clock, for tests that pose a state directly; the
+  /// digest follows.
   void set_clock(TransitionId t, Time value) {
+    fold_clock(digest_, t, clocks_[t.value()], value);
     clocks_[t.value()] = value;
-    digest_valid_ = false;
   }
-
-  [[nodiscard]] std::size_t clock_count() const { return clocks_.size(); }
 
   /// Model time elapsed since s0 along the path that produced this state.
   /// Not part of state identity (two interleavings reaching the same
@@ -70,25 +63,13 @@ class State {
   [[nodiscard]] Time elapsed() const { return elapsed_; }
   void set_elapsed(Time t) { elapsed_ = t; }
 
-  [[nodiscard]] std::span<const Time> clocks() const {
-    return {clocks_.data(), clocks_.size()};
-  }
+  // -- Enabled set ---------------------------------------------------------
+  // Dense bitset over transitions, one word per 64, derived from the
+  // marking and excluded from identity.
 
-  // -- Enabled-set cache ---------------------------------------------------
-  // Dense bitset over transitions, maintained incrementally by Semantics
-  // (docs/semantics.md §5). Derived from the marking, so it is excluded
-  // from hash/identity; empty means "not computed" (states built by hand
-  // or whose marking was mutated externally), and any Semantics entry
-  // point recomputes it from the marking on demand.
-
-  [[nodiscard]] bool enabled_cache_valid() const {
-    return !enabled_words_.empty();
-  }
-  /// Precondition: enabled_cache_valid().
-  [[nodiscard]] bool cached_enabled(TransitionId t) const {
+  [[nodiscard]] bool enabled(TransitionId t) const {
     return (enabled_words_[t.value() >> 6] >> (t.value() & 63)) & 1u;
   }
-  /// Number of set bits; meaningful only while the cache is valid.
   [[nodiscard]] std::uint32_t enabled_count() const { return enabled_count_; }
   [[nodiscard]] std::span<const std::uint64_t> enabled_words() const {
     return {enabled_words_.data(), enabled_words_.size()};
@@ -96,36 +77,30 @@ class State {
 
   // -- Identity digest -----------------------------------------------------
 
-  [[nodiscard]] bool digest_valid() const { return digest_valid_; }
+  [[nodiscard]] StateDigest digest() const { return digest_; }
 
-  /// Dense recomputation of the digest from marking + clocks (no caching).
+  /// Dense recomputation of the digest from marking + clocks: how
+  /// State::initial and fire_reference set it, and the oracle the
+  /// maintained digest is checked against.
   [[nodiscard]] StateDigest compute_digest() const {
     StateDigest d;
     const auto toks = marking_.tokens();
     for (std::size_t i = 0; i < toks.size(); ++i) {
-      d.a ^= hash_cell(i, toks[i], kDigestSeedA);
-      d.b ^= hash_cell(i, toks[i], kDigestSeedB);
+      toggle_cell(d, i, toks[i], 0);
     }
     for (std::size_t i = 0; i < clocks_.size(); ++i) {
-      d.a ^= hash_cell(i, clocks_[i], kDigestSeedA ^ kDigestClockDomain);
-      d.b ^= hash_cell(i, clocks_[i], kDigestSeedB ^ kDigestClockDomain);
+      toggle_cell(d, i, clocks_[i], kClockDomain);
     }
     return d;
   }
 
-  /// The maintained digest when valid, a dense recomputation otherwise.
-  /// Both paths evaluate the same function, so a search mixing cached and
-  /// cacheless states (or the incremental and reference engines) sees
-  /// identical fingerprints for identical timed states.
-  [[nodiscard]] StateDigest digest() const {
-    return digest_valid_ ? StateDigest{digest_a_, digest_b_}
-                         : compute_digest();
-  }
-
-  /// Hash over marking and clocks (identity excludes `elapsed`).
-  [[nodiscard]] std::uint64_t hash() const {
-    return hash_mix(marking_.hash(),
-                    hash_span<Time>({clocks_.data(), clocks_.size()}));
+  /// Folds a change of t's clock from `before` to `after` into `d`: the
+  /// one entry to the digest's clock cells, for the firing rule and for
+  /// the state classifier's capped digest (tpn/state_class.hpp).
+  static void fold_clock(StateDigest& d, TransitionId t, Time before,
+                         Time after) {
+    toggle_cell(d, t.value(), before, kClockDomain);
+    toggle_cell(d, t.value(), after, kClockDomain);
   }
 
   /// Identity comparison: marking + clocks.
@@ -136,9 +111,33 @@ class State {
  private:
   friend class Semantics;
 
-  void reset_enabled_cache(std::size_t transition_count) {
-    enabled_words_.assign((transition_count + 63) / 64, 0);
-    enabled_count_ = 0;
+  static constexpr std::uint64_t kSeedA = kHashSeed;
+  static constexpr std::uint64_t kSeedB = 0x9e3779b97f4a7c15ull;
+  /// Separates the clock cells from the token cells in the digest's index
+  /// space (place i and transition i must not cancel each other out).
+  static constexpr std::uint64_t kClockDomain = 0x636c6f636b73ull;
+
+  static void toggle_cell(StateDigest& d, std::uint64_t index,
+                          std::uint64_t value, std::uint64_t domain) {
+    d.a ^= hash_cell(index, value, kSeedA ^ domain);
+    d.b ^= hash_cell(index, value, kSeedB ^ domain);
+  }
+  void fold_tokens(PlaceId p, std::uint64_t before, std::uint64_t after) {
+    toggle_cell(digest_, p.value(), before, 0);
+    toggle_cell(digest_, p.value(), after, 0);
+  }
+
+  /// Calls `body(t)` for every enabled t, in transition-id order.
+  template <typename Body>
+  void for_each_enabled(Body&& body) const {
+    for (std::size_t wi = 0; wi < enabled_words_.size(); ++wi) {
+      std::uint64_t w = enabled_words_[wi];
+      while (w != 0) {
+        const auto bit = static_cast<std::uint32_t>(std::countr_zero(w));
+        w &= w - 1;
+        body(TransitionId(static_cast<std::uint32_t>(wi * 64) + bit));
+      }
+    }
   }
   void set_enabled_bit(TransitionId t) {
     enabled_words_[t.value() >> 6] |= std::uint64_t{1} << (t.value() & 63);
@@ -148,42 +147,16 @@ class State {
     enabled_words_[t.value() >> 6] &= ~(std::uint64_t{1} << (t.value() & 63));
     --enabled_count_;
   }
-  void drop_enabled_cache() {
-    enabled_words_.clear();
-    enabled_count_ = 0;
-  }
-
-  void refresh_digest() {
-    const StateDigest d = compute_digest();
-    digest_a_ = d.a;
-    digest_b_ = d.b;
-    digest_valid_ = true;
-  }
-  void drop_digest() { digest_valid_ = false; }
-  /// Folds a token-count change of place index `p` into the digest.
-  void digest_token_update(std::size_t p, std::uint64_t before,
-                           std::uint64_t after) {
-    digest_a_ ^= hash_cell(p, before, kDigestSeedA) ^
-                 hash_cell(p, after, kDigestSeedA);
-    digest_b_ ^= hash_cell(p, before, kDigestSeedB) ^
-                 hash_cell(p, after, kDigestSeedB);
-  }
-  /// Folds a clock change of transition index `t` into the digest.
-  void digest_clock_update(std::size_t t, Time before, Time after) {
-    digest_a_ ^= hash_cell(t, before, kDigestSeedA ^ kDigestClockDomain) ^
-                 hash_cell(t, after, kDigestSeedA ^ kDigestClockDomain);
-    digest_b_ ^= hash_cell(t, before, kDigestSeedB ^ kDigestClockDomain) ^
-                 hash_cell(t, after, kDigestSeedB ^ kDigestClockDomain);
-  }
+  /// Sets the enabled set and the digest from the marking and clocks by
+  /// dense scans (semantics.cpp).
+  void rebuild(const Semantics& sem);
 
   Marking marking_;
   std::vector<Time> clocks_;
   Time elapsed_ = 0;
   std::vector<std::uint64_t> enabled_words_;
   std::uint32_t enabled_count_ = 0;
-  std::uint64_t digest_a_ = 0;
-  std::uint64_t digest_b_ = 0;
-  bool digest_valid_ = false;
+  StateDigest digest_;
 };
 
 }  // namespace ezrt::tpn

@@ -7,7 +7,6 @@
 #include "base/assert.hpp"
 #include "base/hash.hpp"
 #include "tpn/analysis.hpp"
-#include "tpn/semantics.hpp"
 
 namespace ezrt::tpn {
 
@@ -450,45 +449,28 @@ StateClassifier::StateClassifier(const TimePetriNet& net) : net_(&net) {
 }
 
 StateClassifier::CanonicalDigest StateClassifier::canonical_digest(
-    const State& s, const Semantics& sem) const {
+    const State& s) const {
   CanonicalDigest out{s.digest(), false};
   if (!structured_) {
     return out;
   }
-  const bool cached = s.enabled_cache_valid();
   for (const CapRule& rule : cap_rules_) {
-    const bool release_on = cached ? s.cached_enabled(rule.release)
-                                   : sem.is_enabled(s.marking(), rule.release);
-    if (!release_on) {
-      continue;
-    }
-    const bool watchdog_on =
-        cached ? s.cached_enabled(rule.watchdog)
-               : sem.is_enabled(s.marking(), rule.watchdog);
-    if (!watchdog_on) {
+    if (!s.enabled(rule.release) || !s.enabled(rule.watchdog)) {
       continue;
     }
     const Time c = s.clock(rule.release);
     if (c <= rule.eft) {
       continue;
     }
-    // Fold the cap into the XOR-combinable Zobrist digest: remove the
-    // concrete clock cell, add the capped one (state.hpp's
-    // digest_clock_update, reproduced here because the state is const).
-    const std::size_t idx = rule.release.value();
-    out.digest.a ^=
-        hash_cell(idx, c, kDigestSeedA ^ kDigestClockDomain) ^
-        hash_cell(idx, rule.eft, kDigestSeedA ^ kDigestClockDomain);
-    out.digest.b ^=
-        hash_cell(idx, c, kDigestSeedB ^ kDigestClockDomain) ^
-        hash_cell(idx, rule.eft, kDigestSeedB ^ kDigestClockDomain);
+    // Fold the cap into the XOR-combinable Zobrist digest: the concrete
+    // clock cell out, the capped one in.
+    State::fold_clock(out.digest, rule.release, c, rule.eft);
     out.capped = true;
   }
   return out;
 }
 
 StateClassifier::Eval StateClassifier::evaluate(const State& s,
-                                                const Semantics& sem,
                                                 Scratch& scratch) const {
   Eval eval;
   if (!structured_) {
@@ -500,7 +482,6 @@ StateClassifier::Eval StateClassifier::evaluate(const State& s,
     group.clear();
   }
   const Marking& m = s.marking();
-  const bool cached = s.enabled_cache_valid();
   for (const TaskInfo& ti : tasks_) {
     if (ti.td < 0 || ti.comp == 0) {
       continue;
@@ -516,10 +497,8 @@ StateClassifier::Eval StateClassifier::evaluate(const State& s,
                ti.comp;
     }
     const TransitionId td(static_cast<std::uint32_t>(ti.td));
-    const bool active =
-        cached ? s.cached_enabled(td) : sem.is_enabled(m, td);
     Time work = 0;
-    if (active) {
+    if (s.enabled(td)) {  // an active instance
       const Time wd_clock = s.clock(td);
       const Time slack = ti.deadline > wd_clock ? ti.deadline - wd_clock : 0;
       if (ti.wait_release >= 0 &&
@@ -537,9 +516,7 @@ StateClassifier::Eval StateClassifier::evaluate(const State& s,
         if (ti.wait_compute >= 0 && ti.tc >= 0 &&
             m[PlaceId(static_cast<std::uint32_t>(ti.wait_compute))] > 0) {
           const TransitionId tc(static_cast<std::uint32_t>(ti.tc));
-          const bool running =
-              cached ? s.cached_enabled(tc) : sem.is_enabled(m, tc);
-          work += ti.chunk - (running ? s.clock(tc) : 0);
+          work += ti.chunk - (s.enabled(tc) ? s.clock(tc) : 0);
         }
       }
       if (work > slack) {

@@ -131,8 +131,6 @@ struct ClassGraphResult {
 // On nets without role metadata (hand-built tests, imported PNML) the
 // classifier degrades to the identity: canonical_digest() returns the
 // concrete digest and evaluate() never dooms.
-class Semantics;
-
 class StateClassifier {
  public:
   /// The net must be validated and outlive the classifier. Construction
@@ -153,8 +151,7 @@ class StateClassifier {
 
   /// Class-representative digest of `s`: the concrete Zobrist digest with
   /// every cappable release clock folded down to its EFT.
-  [[nodiscard]] CanonicalDigest canonical_digest(const State& s,
-                                                 const Semantics& sem) const;
+  [[nodiscard]] CanonicalDigest canonical_digest(const State& s) const;
 
   struct Eval {
     /// No continuation of the state can avoid marking a miss place.
@@ -184,8 +181,7 @@ class StateClassifier {
   };
 
   /// Doom certificate + heuristic in one pass over the per-task tables.
-  [[nodiscard]] Eval evaluate(const State& s, const Semantics& sem,
-                              Scratch& scratch) const;
+  [[nodiscard]] Eval evaluate(const State& s, Scratch& scratch) const;
 
  private:
   struct TaskInfo {

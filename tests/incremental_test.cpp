@@ -1,11 +1,12 @@
 // Equivalence guardrail for the incremental firing engine (docs/semantics.md
-// §5): the cached-enabled-set engine must be observationally identical to
-// the dense Definition 3.1 reference — same fireable sets, same successor
-// states, and bit-identical searches (traces, statuses, effort counters)
-// across all model families; the in-place firing the search recycles
-// states through, and the net's role index, against dense scans. Plus
-// direct fire() edge cases the incremental clock maintenance must
-// preserve.
+// §5): the maintained-enabled-set engine must be observationally identical
+// to the dense Definition 3.1 reference — same fireable sets (against a
+// dense FT(s) written here), same successor states, and bit-identical
+// searches (traces, statuses, effort and attribution counters) across all
+// model families, state classes on and off; the in-place firing the
+// search recycles states through, and the net's role index, against
+// dense scans. Plus direct fire() edge cases the incremental clock
+// maintenance must preserve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,16 +51,18 @@ using workload::WorkloadConfig;
 }
 
 /// Runs the same search with both engines and requires bit-identical
-/// results: status, the full trace, and every effort counter.
-void expect_search_equivalent(const TimePetriNet& net,
-                              SchedulerOptions options = {}) {
+/// results: status, the full trace, every effort counter and the
+/// attribution counters. Returns the incremental engine's outcome.
+SearchOutcome expect_search_equivalent(const TimePetriNet& net,
+                                       SchedulerOptions options = {}) {
   const SearchOutcome inc = run(net, options, SuccessorEngine::kIncremental);
   const SearchOutcome ref = run(net, options, SuccessorEngine::kReference);
 
   EXPECT_EQ(inc.status, ref.status)
       << to_string(inc.status) << " vs " << to_string(ref.status);
-  ASSERT_EQ(inc.trace.size(), ref.trace.size());
-  for (std::size_t i = 0; i < inc.trace.size(); ++i) {
+  EXPECT_EQ(inc.trace.size(), ref.trace.size());
+  for (std::size_t i = 0;
+       i < std::min(inc.trace.size(), ref.trace.size()); ++i) {
     EXPECT_EQ(inc.trace[i].transition, ref.trace[i].transition) << "at " << i;
     EXPECT_EQ(inc.trace[i].delay, ref.trace[i].delay) << "at " << i;
     EXPECT_EQ(inc.trace[i].at, ref.trace[i].at) << "at " << i;
@@ -70,8 +73,18 @@ void expect_search_equivalent(const TimePetriNet& net,
   EXPECT_EQ(inc.stats.pruned_deadline, ref.stats.pruned_deadline);
   EXPECT_EQ(inc.stats.pruned_visited, ref.stats.pruned_visited);
   EXPECT_EQ(inc.stats.max_depth, ref.stats.max_depth);
+  EXPECT_EQ(inc.stats.pruned_doomed, ref.stats.pruned_doomed);
+  EXPECT_EQ(inc.stats.classes_merged, ref.stats.classes_merged);
+  EXPECT_EQ(inc.stats.heuristic_evals, ref.stats.heuristic_evals);
   EXPECT_EQ(inc.best_cost, ref.best_cost);
   EXPECT_EQ(inc.solutions_found, ref.solutions_found);
+  EXPECT_EQ(inc.attribution.collected, ref.attribution.collected);
+  EXPECT_EQ(inc.attribution.deadline_hits, ref.attribution.deadline_hits);
+  EXPECT_EQ(inc.attribution.contention, ref.attribution.contention);
+  EXPECT_EQ(inc.attribution.doomed_hits, ref.attribution.doomed_hits);
+  EXPECT_EQ(inc.attribution.doomed_unattributed,
+            ref.attribution.doomed_unattributed);
+  return inc;
 }
 
 [[nodiscard]] Specification generated(WorkloadConfig config) {
@@ -165,12 +178,77 @@ TEST(IncrementalEquivalence, BranchAndBoundSwitches) {
   expect_search_equivalent(build_net(two_tasks()), options);
 }
 
+// The classifier reads the enabled bits and the digest of every state it
+// keys or dooms; under the reference engine those come from
+// fire_reference's dense rebuild. An exhausted infeasible set with state
+// classes on must still search identically under both engines, in dfs
+// and in best-first, down to the doom and merge counts.
+TEST(IncrementalEquivalence, StateClassesOnExhaustiveInfeasible) {
+  WorkloadConfig config;
+  config.tasks = 6;
+  config.utilization = 0.85;
+  config.exclusion_pairs = 2;
+  config.seed = 4;
+  const TimePetriNet net = build_net(generated(config));
+  for (const auto engine :
+       {sched::SearchEngine::kDfs, sched::SearchEngine::kBestFirst}) {
+    SCOPED_TRACE(engine == sched::SearchEngine::kDfs ? "dfs" : "bestfirst");
+    SchedulerOptions options;
+    options.search_engine = engine;
+    options.pruning = sched::PruningMode::kNone;
+    options.max_states = 0;
+    options.state_classes = sched::StateClassMode::kOn;
+    options.collect_attribution = true;
+    const SearchOutcome out = expect_search_equivalent(net, options);
+    EXPECT_EQ(out.status, sched::SearchStatus::kInfeasible);
+    EXPECT_GT(out.stats.pruned_doomed, 0u);
+    EXPECT_GT(out.stats.classes_merged, 0u);
+    EXPECT_TRUE(out.attribution.collected);
+  }
+}
+
 // -- Stepwise fire vs fire_reference -------------------------------------------
+
+/// FT(s) written from its definition over the dense reference scans:
+/// ET(m) from `enabled`, the bound from `max_time_advance`, each DLB
+/// from `dynamic_lower_bound`. The oracle for `fireable`, which
+/// enumerates the maintained bitset.
+[[nodiscard]] std::vector<FireableTransition> dense_fireable(
+    const Semantics& sem, const State& s, bool priority_filter) {
+  const std::vector<TransitionId> et = sem.enabled(s.marking());
+  const Time bound = sem.max_time_advance(s, et);
+  std::vector<FireableTransition> ft;
+  for (const TransitionId t : et) {
+    const Time dlb = sem.dynamic_lower_bound(s, t);
+    if (dlb <= bound) {
+      ft.push_back(FireableTransition{t, dlb, bound});
+    }
+  }
+  if (priority_filter) {
+    tpn::apply_priority_filter(sem.net(), ft);
+  }
+  return ft;
+}
+
+/// `ft`, from `fireable`, against dense_fireable at `s`.
+void expect_dense_fireable(const Semantics& sem, const State& s,
+                           bool priority_filter,
+                           const std::vector<FireableTransition>& ft) {
+  const std::vector<FireableTransition> dense =
+      dense_fireable(sem, s, priority_filter);
+  ASSERT_EQ(ft.size(), dense.size());
+  for (std::size_t i = 0; i < ft.size(); ++i) {
+    ASSERT_EQ(ft[i].transition, dense[i].transition) << "entry " << i;
+    ASSERT_EQ(ft[i].earliest, dense[i].earliest) << "entry " << i;
+    ASSERT_EQ(ft[i].latest, dense[i].latest) << "entry " << i;
+  }
+}
 
 // Walks one path through the mine-pump TLTS keeping two copies of the
 // state: one advanced by the incremental fire(), one by the dense
-// fire_reference(). At every step the timed states and the full fireable
-// enumerations (cached bitset vs dense scan) must agree exactly.
+// fire_reference(). At every step the timed states must agree, and the
+// filtered FT_P(s) of the incremental state must equal the dense
+// enumeration at the reference state.
 TEST(IncrementalEquivalence, StepwiseWalkMatchesReference) {
   const TimePetriNet net = build_net(workload::mine_pump_specification());
   const Semantics sem(net);
@@ -178,13 +256,11 @@ TEST(IncrementalEquivalence, StepwiseWalkMatchesReference) {
   State inc = State::initial(net);
   State ref = State::initial(net);
   for (int step = 0; step < 500; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
     const std::vector<FireableTransition> ft_inc = sem.fireable(inc, true);
-    const std::vector<FireableTransition> ft_ref = sem.fireable(ref, true);
-    ASSERT_EQ(ft_inc.size(), ft_ref.size()) << "step " << step;
-    for (std::size_t i = 0; i < ft_inc.size(); ++i) {
-      ASSERT_EQ(ft_inc[i].transition, ft_ref[i].transition);
-      ASSERT_EQ(ft_inc[i].earliest, ft_ref[i].earliest);
-      ASSERT_EQ(ft_inc[i].latest, ft_ref[i].latest);
+    expect_dense_fireable(sem, ref, true, ft_inc);
+    if (HasFatalFailure()) {
+      return;
     }
     if (ft_inc.empty()) {
       break;
@@ -258,27 +334,28 @@ TEST(IncrementalEquivalence, StepwiseWalkMatchesReference) {
 /// `in_place` (fired by fire_into) against `ref` (fired by
 /// fire_reference): marking, clocks, elapsed time, the enabled set and
 /// count against a dense scan, and the maintained digest against a dense
-/// recomputation. Also checks the role index on the marking.
+/// recomputation and the reference's densely rebuilt one. Also checks the
+/// role index on the marking.
 void expect_matches_reference(const TimePetriNet& net, const Semantics& sem,
                               const State& in_place, const State& ref) {
   ASSERT_TRUE(in_place.same_timed_state(ref));
   ASSERT_EQ(in_place.elapsed(), ref.elapsed());
-  ASSERT_TRUE(in_place.enabled_cache_valid());
   ASSERT_EQ(in_place.enabled_words().size(),
             (net.transition_count() + 63) / 64);
   std::uint32_t enabled = 0;
   for (const TransitionId t : net.transition_ids()) {
     const bool dense = sem.is_enabled(ref.marking(), t);
-    ASSERT_EQ(in_place.cached_enabled(t), dense) << net.transition(t).name;
+    ASSERT_EQ(in_place.enabled(t), dense) << net.transition(t).name;
+    ASSERT_EQ(ref.enabled(t), dense) << net.transition(t).name;
     enabled += dense ? 1 : 0;
   }
   ASSERT_EQ(in_place.enabled_count(), enabled);
-  ASSERT_TRUE(in_place.digest_valid());
   const tpn::StateDigest maintained = in_place.digest();
-  const tpn::StateDigest dense = ref.digest();  // no cache: recomputed
-  ASSERT_FALSE(ref.digest_valid());
+  const tpn::StateDigest dense = in_place.compute_digest();
   ASSERT_EQ(maintained.a, dense.a);
   ASSERT_EQ(maintained.b, dense.b);
+  ASSERT_EQ(maintained.a, ref.digest().a);
+  ASSERT_EQ(maintained.b, ref.digest().b);
 
   ASSERT_EQ(tpn::is_final_marking(net, in_place.marking()),
             final_by_scan(net, ref.marking()));
@@ -322,6 +399,10 @@ TEST(InPlaceFiring, RandomWalksIntoRecycledStatesMatchReference) {
         SCOPED_TRACE("walk " + std::to_string(walk) + " step " +
                      std::to_string(step));
         const auto ft = sem.fireable(cur, false);
+        expect_dense_fireable(sem, ref, false, ft);
+        if (HasFatalFailure()) {
+          return;
+        }
         if (ft.empty()) {
           break;
         }
@@ -366,6 +447,10 @@ TEST(InPlaceFiring, SchedulesReachTheFinalMarkingByIndexAndScan) {
       ASSERT_FALSE(final_by_scan(net, cur.marking()));
       ASSERT_FALSE(tpn::is_final_marking(net, cur.marking()));
       const auto ft = sem.fireable(cur, false);
+      expect_dense_fireable(sem, cur, false, ft);
+      if (HasFatalFailure()) {
+        return;
+      }
       const auto it = std::find_if(ft.begin(), ft.end(), [&](const auto& f) {
         return f.transition == out.trace[i].transition;
       });

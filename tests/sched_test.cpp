@@ -849,6 +849,48 @@ TEST(Optimize, PreemptiveMixEffortIsPinned) {
   }
 }
 
+TEST(Optimize, PartitionedMultiprocEffortIsPinned) {
+  // Two-core partitioned sets, complete and unbudgeted: the switch
+  // objective counts per core (the per-core running task is a salt in the
+  // visited key), so these rows pin cost, incumbents and effort where the
+  // mono-processor rows above cannot.
+  struct Row {
+    bool harmonic;
+    std::uint64_t seed;
+    Objective objective;
+    std::uint64_t cost, solutions, states, fired;
+  };
+  const Row rows[] = {
+      {true, 6, Objective::kMinimizeSwitches, 9, 3, 13591, 27411},
+      {true, 6, Objective::kMinimizeMakespan, 349, 1, 6226, 10908},
+      {true, 2, Objective::kMinimizeSwitches, 9, 6, 50615, 115416},
+      {false, 3, Objective::kMinimizeSwitches, 6, 2, 5928, 9521},
+      {false, 3, Objective::kMinimizeMakespan, 203, 1, 3205, 5027},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.harmonic ? "harmonic" : "arbitrary") +
+                 " seed " + std::to_string(row.seed) +
+                 (row.objective == Objective::kMinimizeSwitches
+                      ? " switches"
+                      : " makespan"));
+    const BuiltModel model =
+        build(workload::generate(workload::multiproc_scenario(
+                                     workload::Placement::kPartitioned,
+                                     row.harmonic, 2, row.seed))
+                  .value());
+    SchedulerOptions options;
+    options.pruning = PruningMode::kNone;
+    options.max_states = 0;
+    options.objective = row.objective;
+    const SearchOutcome out = DfsScheduler(model.net, options).search();
+    ASSERT_EQ(out.status, SearchStatus::kFeasible);
+    EXPECT_EQ(out.best_cost, row.cost);
+    EXPECT_EQ(out.solutions_found, row.solutions);
+    EXPECT_EQ(out.stats.states_visited, row.states);
+    EXPECT_EQ(out.stats.transitions_fired, row.fired);
+  }
+}
+
 TEST(SearchStatusNames, AllNamed) {
   EXPECT_STREQ(to_string(SearchStatus::kFeasible), "feasible");
   EXPECT_STREQ(to_string(SearchStatus::kInfeasible), "infeasible");

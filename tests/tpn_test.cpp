@@ -2,6 +2,9 @@
 // and the Definition 3.1 firing semantics.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "base/assert.hpp"
 #include "tpn/analysis.hpp"
 #include "tpn/marking.hpp"
@@ -140,6 +143,9 @@ TEST(Semantics, EnabledRequiresCoveredPreset) {
   const auto enabled = sem.enabled(s.marking());
   ASSERT_EQ(enabled.size(), 1u);
   EXPECT_EQ(enabled[0], tiny.t0);
+  // s0 carries the same set as its bitset.
+  EXPECT_TRUE(s.enabled(tiny.t0));
+  EXPECT_EQ(s.enabled_count(), 1u);
 }
 
 TEST(Semantics, DynamicBoundsTrackClock) {
@@ -345,13 +351,19 @@ TEST(Semantics, ArcWeightsConsumeAndProduceBatches) {
 
 // -- State identity ------------------------------------------------------------
 
+// A State's marking is read-only: the enabled set and digest it carries
+// are derived from it, and only the firing rule may change it.
+static_assert(std::is_same_v<decltype(std::declval<State&>().marking()),
+                             const Marking&>);
+
 TEST(State, IdentityIgnoresElapsed) {
   TinyNet tiny(TimeInterval(0, 10));
   State a = State::initial(tiny.net);
   State b = State::initial(tiny.net);
   b.set_elapsed(50);
   EXPECT_TRUE(a.same_timed_state(b));
-  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_EQ(a.digest().a, b.digest().a);
+  EXPECT_EQ(a.digest().b, b.digest().b);
 }
 
 TEST(State, HashSensitiveToClocks) {
@@ -360,7 +372,14 @@ TEST(State, HashSensitiveToClocks) {
   State b = State::initial(tiny.net);
   b.set_clock(tiny.t0, 3);
   EXPECT_FALSE(a.same_timed_state(b));
-  EXPECT_NE(a.hash(), b.hash());
+  EXPECT_NE(a.digest().a, b.digest().a);
+  EXPECT_NE(a.digest().b, b.digest().b);
+  // set_clock folds its change into the maintained digest.
+  EXPECT_EQ(b.digest().a, b.compute_digest().a);
+  EXPECT_EQ(b.digest().b, b.compute_digest().b);
+  b.set_clock(tiny.t0, 0);
+  EXPECT_EQ(a.digest().a, b.digest().a);
+  EXPECT_EQ(a.digest().b, b.digest().b);
 }
 
 // -- Analysis -------------------------------------------------------------------

@@ -102,9 +102,9 @@ SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
       ++w.stats.backtracks;
       continue;
     }
-    const Candidate cand = top.candidates[top.next++];
+    const Candidate cand = top.candidates[top.next];
     const TransitionId t = cand.fireable.transition;
-    BbFrame child{w.fresh(), top.cost, top.last_compute, top.salt};
+    BbFrame child{{}, top.cost, top.last_compute, top.salt};
     if (!switches) {
       child.cost += cand.delay;
     } else if (net.transition(t).role == tpn::TransitionRole::kCompute) {
@@ -116,12 +116,12 @@ SearchOutcome branch_and_bound(const tpn::TimePetriNet& net,
       last = task;
     }
     if (child.cost >= best_cost) {
-      w.retire(std::move(child));
+      ++top.next;
       continue;  // cannot improve the incumbent
     }
     w.cost = child.cost;
     w.salt = child.salt;
-    const Admit r = w.admit(top, cand, stack.size(), child);
+    const Admit r = w.admit(top, stack.size(), child);
     if (r == Admit::kAdmitted) {
       child.edge_at = path.size();
       path.insert(path.end(), w.edge.begin(), w.edge.end());

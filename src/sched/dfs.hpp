@@ -138,7 +138,7 @@ struct SchedulerOptions {
   std::uint64_t wall_limit_ms = 0;
   /// Ceiling on the search's estimated heap footprint in bytes (0 = off):
   /// visited-set bytes (exact slot accounting) plus an estimate of the
-  /// live frame stacks. Terminates with kMemoryLimit.
+  /// states and frames the workers hold. Terminates with kMemoryLimit.
   std::uint64_t memory_limit_bytes = 0;
   /// Absolute wall-clock deadline (default-constructed = off). Unlike
   /// wall_limit_ms, which restarts at every engine's own t0, this point is

@@ -11,8 +11,8 @@
 //   * cancellation is a single relaxed atomic load, checked on every call;
 //   * the wall clock is read only every kWallMask + 1 calls;
 //   * the memory estimate (a callable, typically visited-set bytes plus
-//     frame-stack accounting) is evaluated only every kMemoryMask + 1
-//     calls.
+//     the states and frames a worker holds) is evaluated only every
+//     kMemoryMask + 1 calls.
 //
 // With no ceiling configured, armed() is false and the engines skip the
 // guard entirely, so the unguarded hot path pays one predictable branch
@@ -111,17 +111,17 @@ class ResourceGuard {
   std::chrono::steady_clock::time_point deadline_;
 };
 
-/// Estimated heap bytes of one live search frame for the given net: the
-/// state's marking, clock vector and enabled bitset plus the frame
-/// bookkeeping itself. Used for the frame-stack term of the memory-guard
-/// estimate; the visited set (the asymptotically dominant term) is
-/// accounted exactly by the engines.
-[[nodiscard]] inline std::uint64_t estimated_frame_bytes(
+/// Estimated heap bytes of one search state for the given net: its
+/// marking, clock vector and enabled bitset plus a candidate buffer. The
+/// memory guard charges it for every state a worker owns, live or pooled,
+/// and `sizeof(Frame)` (the vector headers included) for every frame; the
+/// visited set (the asymptotically dominant term) is accounted exactly
+/// by the engines.
+[[nodiscard]] inline std::uint64_t estimated_state_bytes(
     const tpn::TimePetriNet& net) {
   const std::uint64_t places = net.place_count();
   const std::uint64_t transitions = net.transition_count();
-  return 128 +                               // frame + vector headers
-         places * sizeof(std::uint32_t) +    // marking tokens
+  return places * sizeof(std::uint32_t) +    // marking tokens
          transitions * sizeof(Time) +        // transition clocks
          ((transitions + 63) / 64) * 8 +     // enabled bitset words
          transitions * sizeof(std::uint64_t);  // candidate buffer (approx)

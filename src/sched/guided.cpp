@@ -80,10 +80,9 @@ class GuidedSearch {
   /// the search (the goal's trace is in trace_), nullopt otherwise.
   template <typename Push>
   std::optional<SearchStatus> expand(std::uint32_t idx, Push&& push) {
-    for (std::size_t i = 0; i < nodes_[idx].candidates.size(); ++i) {
-      Frame child = w_.fresh();
-      const Admit r = w_.admit(nodes_[idx], nodes_[idx].candidates[i],
-                               nodes_.size(), child);
+    while (nodes_[idx].next < nodes_[idx].candidates.size()) {
+      Frame child;
+      const Admit r = w_.admit(nodes_[idx], nodes_.size(), child);
       if (r == Admit::kPruned) {
         w_.retire(std::move(child));
         continue;
@@ -101,8 +100,8 @@ class GuidedSearch {
       nodes_.push_back(std::move(child));
       push(entry(static_cast<std::uint32_t>(nodes_.size() - 1)));
     }
-    // An expanded node keeps only its trace links (parent and edge);
-    // its state and candidate buffer go back to the pools.
+    // An expanded node keeps only its trace links (parent and edge). Its
+    // last child took its state and buffer; a dead end's go to the pools.
     w_.retire(std::move(nodes_[idx]));
     return std::nullopt;
   }

@@ -95,7 +95,10 @@ class ParallelSearch {
   /// Donates pending candidates from the *shallowest* unexhausted frame
   /// to the shared queue while other workers are hungry: shallow siblings
   /// root the largest subtrees, so shared work stays coarse. Donations
-  /// are admitted here, so the taker starts from an expanded frame.
+  /// are admitted here, so the taker starts from an expanded frame. Only
+  /// frames with untried candidates are fired from, and those still own
+  /// their state; donating a frame's last candidate spends it like any
+  /// other firing (SearchWorker::admit).
   void maybe_offload(SearchWorker& w, const WorkItem& item) {
     const std::size_t hunger = shared_.threads;
     if (hunger == 1 || pool_.pending() >= hunger) {
@@ -110,9 +113,8 @@ class ParallelSearch {
       const std::size_t path_len = frame.edge_at + frame.events;
       while (frame.next + (top ? 1 : 0) < frame.candidates.size() &&
              pool_.pending() < hunger) {
-        WorkItem donated{w.fresh(), {}};
-        const Admit r = w.admit(frame, frame.candidates[frame.next++],
-                                w.stack.size(), donated.frame);
+        WorkItem donated;
+        const Admit r = w.admit(frame, w.stack.size(), donated.frame);
         if (r == Admit::kAdmitted) {
           donated.prefix = w.trace_to(item, path_len);
           push_work(w.tid, std::move(donated));

@@ -77,9 +77,10 @@ ReachabilityResult explore(const tpn::TimePetriNet& net,
       const std::size_t frontier = level.size() - i + next.size();
       result.peak_frontier =
           std::max<std::uint64_t>(result.peak_frontier, frontier);
-      for (const Candidate& cand : level[i].candidates) {
-        Frame child = w.fresh();
-        const Admit r = w.admit(level[i], cand, frontier, child);
+      while (level[i].next < level[i].candidates.size()) {
+        Frame child;
+        const Admit r =
+            w.admit(level[i], level.size() + next.size(), child);
         if (r == Admit::kAdmitted) {
           result.deadlock_found |= dead_end(child);
           next.push_back(std::move(child));
@@ -91,7 +92,7 @@ ReachabilityResult explore(const tpn::TimePetriNet& net,
           break;
         }
       }
-      w.retire(std::move(level[i]));  // expanded: recycle its state
+      w.retire(std::move(level[i]));  // a dead end still holds its state
     }
     level.swap(next);
     next.clear();

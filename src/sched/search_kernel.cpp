@@ -14,8 +14,7 @@ SearchShared::SearchShared(const tpn::TimePetriNet& net,
       threads(threads),
       t0(std::chrono::steady_clock::now()),
       guard(options, t0),
-      frame_bytes(estimated_frame_bytes(net) *
-                  std::max<std::uint32_t>(1, threads)) {
+      state_bytes(estimated_state_bytes(net)) {
   // One shard keeps a serial search's table set-up small; the parallel
   // engine spreads its inserts over four shards per thread (at least 16).
   if (options.objective == Objective::kFirstFeasible) {
@@ -93,6 +92,7 @@ SearchWorker::SearchWorker(SearchShared& shared, std::uint32_t tid,
 
 Admit SearchWorker::admit_root(Frame& root) {
   root.state = tpn::State::initial(shared.net);
+  ++states_owned_;
   const tpn::State& s0 = root.state;
   claim(shared.classes_on ? shared.classifier.canonical_digest(s0).digest
                           : s0.digest());
@@ -114,11 +114,23 @@ Admit SearchWorker::admit_root(Frame& root) {
   return Admit::kAdmitted;
 }
 
-Admit SearchWorker::admit(const Frame& parent, Candidate cand,
-                          std::size_t frames, Frame& child) {
+Admit SearchWorker::admit(Frame& parent, std::size_t frames,
+                          Frame& child) {
   edge.clear();
   corridor_.clear();
-  expander.fire_into(parent.state, cand, child.state);
+  // A copy: firing the last candidate hands its buffer to the child.
+  Candidate cand = parent.candidates[parent.next++];
+  if (parent.next < parent.candidates.size()) {
+    states_owned_ += state_pool_.empty() ? 1 : 0;
+    child.state = take(state_pool_);
+    child.candidates = take(candidate_pool_);
+    expander.fire_into(parent.state, cand, child.state);
+  } else {
+    // The parent is spent: nothing reads its state or buffer again.
+    child.state = std::exchange(parent.state, {});
+    child.candidates = std::exchange(parent.candidates, {});
+    expander.fire_into(child.state, cand, child.state);  // in place
+  }
   ++stats.transitions_fired;
   child.depth = parent.depth + 1;
   const tpn::State& s = child.state;
@@ -132,10 +144,11 @@ Admit SearchWorker::admit(const Frame& parent, Candidate cand,
     edge.push_back(
         FiringEvent{cand.fireable.transition, cand.delay, s.elapsed()});
     if (auto tripped = poll_guard([&] {
-          // The table is exact; this worker's frontier and memo stand in
-          // for every worker's.
-          return shared.table_bytes() + frames * shared.frame_bytes +
-                 memo.memory_bytes() *
+          // The table is exact; this worker's states, frames and memo
+          // stand in for every worker's.
+          return shared.table_bytes() +
+                 (states_owned_ * shared.state_bytes +
+                  frames * sizeof(Frame) + memo.memory_bytes()) *
                      std::max<std::uint32_t>(1, shared.threads);
         })) {
       return conclude(*tripped);

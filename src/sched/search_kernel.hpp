@@ -68,11 +68,13 @@ struct ProgressCursor {
   }
 };
 
-/// A frontier entry: an admitted state and its expansion.
+/// A frontier entry: an admitted state and its expansion. Once its last
+/// candidate is fired the frame is spent: the child took its state and
+/// buffer (SearchWorker::admit), and it keeps only its trace links.
 struct Frame {
   tpn::State state;
   std::vector<Candidate> candidates;
-  std::size_t next = 0;      ///< next candidate to fire (stack frontier)
+  std::size_t next = 0;      ///< next untried candidate
   std::size_t edge_at = 0;   ///< where the entering events start
   std::uint32_t events = 0;  ///< entering events: one, or a corridor
   std::uint32_t parent = 0;  ///< arena index of the parent (heap, level)
@@ -125,9 +127,9 @@ class SearchShared {
   const std::uint32_t threads;
   const std::chrono::steady_clock::time_point t0;
   const ResourceGuard guard;
-  /// One live frame in every thread: the memory guard extrapolates a
-  /// worker's frontier across the pool (the table itself is exact).
-  const std::uint64_t frame_bytes;
+  /// What the memory guard charges for each state a worker owns, live or
+  /// pooled (estimated_state_bytes).
+  const std::uint64_t state_bytes;
   /// The visited table: `visited` for the first-feasible objective
   /// (re-emplaced per beam pass), `costs` for the optimizing ones.
   std::optional<CasVisitedSet> visited;
@@ -201,12 +203,17 @@ class alignas(64) SearchWorker {
   /// spends the state budget.
   Admit admit_root(Frame& root);
 
-  /// The admission step: fires `cand` from `parent` and, unless that is
-  /// pruned or ends the search, fills `child`'s state, expansion and
-  /// depth. The entering events are left in `edge` for the frontier to
-  /// place. `frames` is the live frontier size, for the memory guard.
-  Admit admit(const Frame& parent, Candidate cand, std::size_t frames,
-              Frame& child);
+  /// The admission step: fires `parent`'s next untried candidate and,
+  /// unless that is pruned or ends the search, fills `child` (which
+  /// arrives empty) with the successor's state, expansion and depth. The
+  /// entering events are left in `edge` for the frontier to place.
+  /// `frames` is the frontier's frame count, for the memory guard.
+  ///
+  /// Where the successor is written: while `parent` has other untried
+  /// candidates, into a state recycled from the pools, copy-assigned from
+  /// the parent. Firing the last one spends `parent`: the child takes its
+  /// state and candidate buffer and fires in place.
+  Admit admit(Frame& parent, std::size_t frames, Frame& child);
 
   /// Depth-first search of the subtree rooted at `item`; `between(item)`
   /// runs before every step and false abandons the subtree. Returns the
@@ -239,21 +246,17 @@ class alignas(64) SearchWorker {
                       stats.pruned_deadline + stats.pruned_visited, depth);
   }
 
-  /// A frame whose state and candidate buffer are recycled from this
-  /// worker's pools: admission copy-assigns the parent into the state and
-  /// expansion refills the buffer, so neither allocates once the search
-  /// reaches steady state.
-  Frame fresh() {
-    Frame f;
-    f.state = take(state_pool_);
-    f.candidates = take(candidate_pool_);
-    return f;
-  }
-  /// Hands the state and buffer of a popped, pruned or expanded frame
-  /// back to the pools; the frame keeps its trace links.
+  /// Hands the state and buffer of a popped, pruned, expanded or dropped
+  /// frame back to the pools; the frame keeps its trace links. A spent
+  /// frame handed both on already and holds an empty placeholder State
+  /// (no marking) and an unallocated buffer, so nothing of it is pooled.
   void retire(Frame&& f) {
-    state_pool_.push_back(std::move(f.state));
-    candidate_pool_.push_back(std::move(f.candidates));
+    if (f.state.marking().size() != 0) {
+      state_pool_.push_back(std::move(f.state));
+    }
+    if (f.candidates.capacity() != 0) {
+      candidate_pool_.push_back(std::move(f.candidates));
+    }
   }
 
   SearchShared& shared;
@@ -320,6 +323,10 @@ class alignas(64) SearchWorker {
   const bool heuristic_;
   const bool guarded_;
   ProgressCursor progress_;
+  /// States this worker created (admit_root's s0 and every copy the
+  /// state pool could not serve): the memory guard's count of the states
+  /// it owns, live or pooled.
+  std::uint64_t states_owned_ = 0;
   std::vector<tpn::State> state_pool_;
   std::vector<std::vector<Candidate>> candidate_pool_;
   /// Concrete digests of the current corridor's interior states.
@@ -344,9 +351,8 @@ std::optional<SearchStatus> SearchWorker::run_stack(WorkItem& item,
       ++stats.backtracks;
       continue;
     }
-    Frame child = fresh();
-    const Admit r =
-        admit(top, top.candidates[top.next++], stack.size(), child);
+    Frame child;
+    const Admit r = admit(top, stack.size(), child);
     if (r == Admit::kAdmitted) {
       child.edge_at = path.size();
       child.events = static_cast<std::uint32_t>(edge.size());

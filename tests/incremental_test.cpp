@@ -76,6 +76,9 @@ SearchOutcome expect_search_equivalent(const TimePetriNet& net,
   EXPECT_EQ(inc.stats.pruned_doomed, ref.stats.pruned_doomed);
   EXPECT_EQ(inc.stats.classes_merged, ref.stats.classes_merged);
   EXPECT_EQ(inc.stats.heuristic_evals, ref.stats.heuristic_evals);
+  EXPECT_EQ(inc.stats.pruned_priority, ref.stats.pruned_priority);
+  EXPECT_EQ(inc.stats.beam_dropped, ref.stats.beam_dropped);
+  EXPECT_EQ(inc.stats.peak_visited_bytes, ref.stats.peak_visited_bytes);
   EXPECT_EQ(inc.best_cost, ref.best_cost);
   EXPECT_EQ(inc.solutions_found, ref.solutions_found);
   EXPECT_EQ(inc.attribution.collected, ref.attribution.collected);
@@ -181,8 +184,11 @@ TEST(IncrementalEquivalence, BranchAndBoundSwitches) {
 // The classifier reads the enabled bits and the digest of every state it
 // keys or dooms; under the reference engine those come from
 // fire_reference's dense rebuild. An exhausted infeasible set with state
-// classes on must still search identically under both engines, in dfs
-// and in best-first, down to the doom and merge counts.
+// classes on must still search identically under both engines, on every
+// frontier (dfs, best-first, a width-2 beam and one parallel worker),
+// down to the doom and merge counts. Each frontier fires the last
+// candidate of a state in place into that state, where the reference
+// engine's successor aliases its source.
 TEST(IncrementalEquivalence, StateClassesOnExhaustiveInfeasible) {
   WorkloadConfig config;
   config.tasks = 6;
@@ -190,21 +196,56 @@ TEST(IncrementalEquivalence, StateClassesOnExhaustiveInfeasible) {
   config.exclusion_pairs = 2;
   config.seed = 4;
   const TimePetriNet net = build_net(generated(config));
-  for (const auto engine :
-       {sched::SearchEngine::kDfs, sched::SearchEngine::kBestFirst}) {
-    SCOPED_TRACE(engine == sched::SearchEngine::kDfs ? "dfs" : "bestfirst");
-    SchedulerOptions options;
-    options.search_engine = engine;
+  std::vector<std::pair<std::string, SchedulerOptions>> engines(4);
+  engines[0].first = "dfs";
+  engines[1].first = "bestfirst";
+  engines[1].second.search_engine = sched::SearchEngine::kBestFirst;
+  engines[2].first = "beam";
+  engines[2].second.search_engine = sched::SearchEngine::kBeam;
+  engines[2].second.beam_width = 2;
+  engines[3].first = "threads=1";
+  engines[3].second.threads = 1;
+  for (auto& [name, options] : engines) {
+    SCOPED_TRACE(name);
     options.pruning = sched::PruningMode::kNone;
     options.max_states = 0;
     options.state_classes = sched::StateClassMode::kOn;
     options.collect_attribution = true;
     const SearchOutcome out = expect_search_equivalent(net, options);
-    EXPECT_EQ(out.status, sched::SearchStatus::kInfeasible);
+    // The beam drops states, so its goalless pass is inconclusive.
+    const bool beam = options.search_engine == sched::SearchEngine::kBeam;
+    EXPECT_EQ(out.status, beam ? sched::SearchStatus::kLimitReached
+                               : sched::SearchStatus::kInfeasible);
+    EXPECT_EQ(out.stats.beam_dropped > 0, beam);
     EXPECT_GT(out.stats.pruned_doomed, 0u);
-    EXPECT_GT(out.stats.classes_merged, 0u);
+    if (!beam) {
+      EXPECT_GT(out.stats.classes_merged, 0u);  // a width-2 beam merges none
+    }
     EXPECT_TRUE(out.attribution.collected);
   }
+}
+
+// The pipeline's search: a generated 32-task set at default options
+// (classes off) is a straight dive, 547 states deep with no backtrack.
+// On a dive nearly every admission fires its parent's last candidate in
+// place (97% on the pipeline corpus), so under the reference engine the
+// successor aliases its source at almost every step, and the schedule
+// is read back from a stack of spent frames. The depth and the
+// backtrack count are pinned so that a generator change cannot quietly
+// turn it into a shallow search.
+TEST(IncrementalEquivalence, PipelineShapedDive) {
+  WorkloadConfig config;
+  config.tasks = 32;
+  config.utilization = 0.5;
+  config.preemptive_fraction = 0.2;
+  config.precedence_edges = config.tasks / 5;
+  config.exclusion_pairs = config.tasks / 8;
+  config.seed = 3;
+  const SearchOutcome out =
+      expect_search_equivalent(build_net(generated(config)));
+  EXPECT_EQ(out.status, sched::SearchStatus::kFeasible);
+  EXPECT_EQ(out.stats.max_depth, 547u);
+  EXPECT_EQ(out.stats.backtracks, 0u);
 }
 
 // -- Stepwise fire vs fire_reference -------------------------------------------

@@ -3,12 +3,17 @@
 // campaign runner, and the search-engine resource guards.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/cancel.hpp"
 #include "builder/tpn_builder.hpp"
 #include "runtime/dispatcher_sim.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/online_sched.hpp"
 #include "sched/dfs.hpp"
+#include "sched/guards.hpp"
 #include "sched/schedule_table.hpp"
 #include "workload/generator.hpp"
 
@@ -373,6 +378,52 @@ TEST(ResourceGuards, MemoryCeilingStopsSearch) {
   const auto out = sched::DfsScheduler(model.value().net, options).search();
   EXPECT_EQ(out.status, sched::SearchStatus::kMemoryLimit);
   EXPECT_GT(out.stats.states_visited, 0u);
+}
+
+// The memory guard charges the states a worker owns, not its frames. A
+// straight dive fires each state's only candidate in place into it, so
+// however deep the dive goes it holds one state (docs/search.md §5).
+// The limit sits far above the table plus a few states and far below
+// the table plus one state per admitted frame; the guard is evaluated at
+// 1,024 and 2,048 firings.
+TEST(ResourceGuards, MemoryCeilingChargesStatesNotDiveDepth) {
+  constexpr std::uint32_t kSteps = 2048;
+  tpn::TimePetriNet net;
+  PlaceId from = net.add_place("p0", 1);
+  for (std::uint32_t i = 1; i <= kSteps; ++i) {
+    const PlaceId to =
+        net.add_place("p" + std::to_string(i), 0,
+                      i == kSteps ? tpn::PlaceRole::kEnd
+                                  : tpn::PlaceRole::kGeneric);
+    const TransitionId t =
+        net.add_transition("t" + std::to_string(i), TimeInterval(1, 1));
+    net.add_input(t, from);
+    net.add_output(t, to);
+    from = to;
+  }
+  ASSERT_TRUE(net.validate().ok());
+  const std::uint64_t state = sched::estimated_state_bytes(net);
+
+  std::vector<std::pair<std::string, sched::SchedulerOptions>> engines(4);
+  engines[0].first = "dfs";
+  engines[1].first = "bestfirst";
+  engines[1].second.search_engine = sched::SearchEngine::kBestFirst;
+  engines[2].first = "threads=2";
+  engines[2].second.threads = 2;
+  engines[3].first = "makespan";
+  engines[3].second.objective = sched::Objective::kMinimizeMakespan;
+  for (auto& [name, options] : engines) {
+    SCOPED_TRACE(name);
+    const auto unlimited = sched::DfsScheduler(net, options).search();
+    ASSERT_EQ(unlimited.status, sched::SearchStatus::kFeasible);
+    const std::uint64_t table = unlimited.stats.peak_visited_bytes;
+    options.memory_limit_bytes = table + 64 * state;
+    ASSERT_LT(options.memory_limit_bytes, table + kSteps * state / 4);
+    const auto out = sched::DfsScheduler(net, options).search();
+    EXPECT_EQ(out.status, sched::SearchStatus::kFeasible);
+    EXPECT_EQ(out.trace.size(), kSteps);
+    EXPECT_EQ(out.stats.transitions_fired, kSteps);
+  }
 }
 
 }  // namespace

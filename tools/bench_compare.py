@@ -10,6 +10,13 @@ reproducible with:
     cmake --build build -t bench_all          # or:
     tools/bench_compare.py --label after
 
+Every benchmark runs REPETITIONS times. A row records the median time in
+ms and the median counters over those runs, and the coefficient of
+variation of the time. It also records the host it ran on: Google
+Benchmark's num_cpus and library_build_type, and the compiler named in
+the CMake cache above --bin-dir. The table warns when the two columns of
+a row come from different hosts.
+
 A second mode compares report documents instead of running benchmarks:
 
     tools/bench_compare.py --report before=base.json --report after=new.json
@@ -32,6 +39,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_FILE = os.path.join(REPO_ROOT, "BENCH_search.json")
 TRACKED_BENCHES = ["bench_scaling", "bench_pipeline_end_to_end"]
+REPETITIONS = 5
 
 
 def run_bench(binary, extra_args):
@@ -61,29 +69,69 @@ def load_results():
 MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 
-def record(results, label, report):
+def compiler_of(bin_dir):
+    """First line of `--version` of the C++ compiler in the CMake cache of
+    the build tree that holds bin_dir, or "unknown"."""
+    cache = os.path.join(os.path.dirname(os.path.abspath(bin_dir)),
+                         "CMakeCache.txt")
+    try:
+        with open(cache) as f:
+            for line in f:
+                if line.startswith("CMAKE_CXX_COMPILER:"):
+                    cxx = line.split("=", 1)[1].strip()
+                    out = subprocess.run([cxx, "--version"],
+                                         capture_output=True, text=True)
+                    return out.stdout.splitlines()[0]
+    except (OSError, IndexError):
+        pass
+    return "unknown"
+
+
+def record(results, label, report, compiler):
+    """Stores one binary's rows under `label`, each from the median and cv
+    aggregates of its REPETITIONS runs."""
+    context = report.get("context", {})
+    host = {"num_cpus": context.get("num_cpus"),
+            "library_build_type": context.get("library_build_type"),
+            "compiler": compiler}
+    aggregates = {}
+    iterations = {}
     for row in report.get("benchmarks", []):
-        if row.get("run_type") == "aggregate":
-            continue
-        name = row["name"]
-        entry = results["benchmarks"].setdefault(name, {})
-        entry[label] = {
-            "real_time_ms": row["real_time"]
-            * MS_PER_UNIT[row.get("time_unit", "ns")],
-            "iterations": row.get("iterations"),
+        name = row["run_name"]
+        if row["run_type"] == "aggregate":
+            aggregates.setdefault(name, {})[row["aggregate_name"]] = row
+        else:
+            # Google Benchmark keeps the first repetition's iteration
+            # count for the others; an aggregate row counts repetitions.
+            iterations[name] = row["iterations"]
+    for name, agg in aggregates.items():
+        median = agg["median"]
+        results["benchmarks"].setdefault(name, {})[label] = {
+            "real_time_ms": median["real_time"]
+            * MS_PER_UNIT[median.get("time_unit", "ns")],
+            "cv": agg["cv"]["real_time"],
+            "repetitions": median["repetitions"],
+            "iterations": iterations[name],
+            "host": host,
             # User-defined counters (states visited, states/sec, ...).
             "counters": {
-                k: v for k, v in row.items()
+                k: v for k, v in median.items()
                 if k not in ("name", "run_name", "run_type", "repetitions",
-                             "repetition_index", "threads", "iterations",
-                             "real_time", "cpu_time", "time_unit",
-                             "family_index", "per_family_instance_index")
+                             "threads", "iterations", "real_time",
+                             "cpu_time", "time_unit", "aggregate_name",
+                             "aggregate_unit", "family_index",
+                             "per_family_instance_index")
             },
         }
 
 
 def print_table(results):
+    """One line per row: the median and cv of each side, the speedup and
+    the host of each side (legend below). The BM_Serve_* rows come from
+    loadgen summaries (tools/loadgen.cpp) and carry no cv and no host."""
     rows = []
+    hosts = []
+    mixed = []
     for name, entry in sorted(results["benchmarks"].items()):
         before = entry.get("before")
         after = entry.get("after")
@@ -91,12 +139,34 @@ def print_table(results):
         a = after["real_time_ms"] if after else None
         speedup = f"{b / a:5.2f}x" if b and a else "    --"
         fmt = lambda v: f"{v:12.3f}" if v is not None else "          --"
-        rows.append(f"{name:<44} {fmt(b)} {fmt(a)} {speedup}")
-    header = f"{'benchmark':<44} {'before(ms)':>12} {'after(ms)':>12} {'speedup':>7}"
+        cv = lambda r: (f"{r['cv'] * 100:6.1f}%" if r and "cv" in r
+                        else "     --")
+        tags = []
+        for side in (before, after):
+            host = side.get("host") if side else None
+            if host is None:
+                tags.append("-")
+                continue
+            if host not in hosts:
+                hosts.append(host)
+            tags.append(f"h{hosts.index(host) + 1}")
+        if before and after and before.get("host") != after.get("host"):
+            mixed.append(name)
+        rows.append(f"{name:<44} {fmt(b)} {cv(before)} {fmt(a)} "
+                    f"{cv(after)} {speedup}  {'/'.join(tags)}")
+    header = (f"{'benchmark':<44} {'before(ms)':>12} {'cv':>7} "
+              f"{'after(ms)':>12} {'cv':>7} {'speedup':>7}  host")
     print(header)
     print("-" * len(header))
     for row in rows:
         print(row)
+    for i, host in enumerate(hosts):
+        print(f"h{i + 1}: {host['num_cpus']} cpus, "
+              f"{host['compiler']}, benchmark library "
+              f"{host['library_build_type']}")
+    if mixed:
+        print(f"[bench_compare] warning: {len(mixed)} rows compare runs "
+              f"from different hosts: {', '.join(mixed)}", file=sys.stderr)
 
 
 def serve_load_metrics(report):
@@ -275,20 +345,21 @@ def main():
     if args.report:
         return compare_reports(args.report)
 
-    extra = []
+    extra = [f"--benchmark_repetitions={REPETITIONS}"]
     if args.filter:
         extra.append(f"--benchmark_filter={args.filter}")
     if args.min_time:
         extra.append(f"--benchmark_min_time={args.min_time}")
 
     results = load_results()
+    compiler = compiler_of(args.bin_dir)
     for bench in TRACKED_BENCHES:
         binary = os.path.join(args.bin_dir, bench)
         if not os.path.exists(binary):
             print(f"[bench_compare] missing {binary}; build first",
                   file=sys.stderr)
             return 1
-        record(results, args.label, run_bench(binary, extra))
+        record(results, args.label, run_bench(binary, extra), compiler)
 
     with open(RESULT_FILE, "w") as f:
         json.dump(results, f, indent=2, sort_keys=True)

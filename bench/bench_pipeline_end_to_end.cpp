@@ -3,15 +3,21 @@
 // Times every stage of the Fig 6 tool flow in isolation and composed:
 // ez-spec parse -> metamodel validation -> ezRealtime2PNML translation ->
 // PNML serialization -> schedule synthesis -> table extraction -> C code
-// generation, on the mine-pump study.
+// generation, on the mine-pump study. The BM_Stage_<stage>/<model> rows
+// time each stage alone on each examples/specs model, so a change to one
+// layer shows in its own row.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <sstream>
 
 #include "core/project.hpp"
 #include "obs/explain.hpp"
 #include "pnml/ezspec_io.hpp"
 #include "pnml/pnml_io.hpp"
+#include "runtime/validator.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -102,6 +108,78 @@ void BM_Explain_UAVCulprit(benchmark::State& state) {
 }
 BENCHMARK(BM_Explain_UAVCulprit)->Unit(benchmark::kMillisecond);
 
+// -- Per-stage rows on the examples/specs models -----------------------------
+
+/// Every stage's input and output for one example model, produced once
+/// outside the timed loops.
+struct StageFixture {
+  std::string document;
+  spec::Specification spec;
+  builder::BuiltModel model;
+  sched::SchedulerOptions options;
+  sched::SearchOutcome outcome;
+  sched::ScheduleTable table;
+};
+
+[[nodiscard]] StageFixture stage_fixture(const std::string& model) {
+  StageFixture f;
+  std::ifstream in(std::string(EZRT_EXAMPLE_SPECS_DIR) + "/" + model +
+                   ".ezspec");
+  std::stringstream text;
+  text << in.rdbuf();
+  f.document = text.str();
+  f.spec = pnml::read_ezspec(f.document).value();
+  f.model = builder::build_tpn(f.spec).value();
+  // The UAV set needs the complete search (docs/multiprocessor.md).
+  if (model == "uav_dual_processor") {
+    f.options.pruning = sched::PruningMode::kNone;
+  }
+  f.outcome = sched::DfsScheduler(f.model.net, f.options).search();
+  f.table = sched::extract_schedule(f.spec, f.model, f.outcome.trace).value();
+  return f;
+}
+
+void register_stage_rows() {
+  for (const std::string model :
+       {"harmonic_u40", "mine_pump", "uav_dual_processor"}) {
+    const auto f = std::make_shared<const StageFixture>(stage_fixture(model));
+    const auto add = [&](const std::string& stage, auto body) {
+      benchmark::RegisterBenchmark(
+          ("BM_Stage_" + stage + "/" + model).c_str(),
+          [f, body](benchmark::State& state) {
+            for (auto _ : state) {
+              body(*f);
+            }
+          })
+          ->Unit(benchmark::kMicrosecond);
+    };
+    add("Read", [](const StageFixture& x) {
+      auto out = pnml::read_ezspec(x.document);
+      benchmark::DoNotOptimize(out);
+    });
+    add("Build", [](const StageFixture& x) {
+      auto out = builder::build_tpn(x.spec);
+      benchmark::DoNotOptimize(out);
+    });
+    add("Search", [](const StageFixture& x) {
+      auto out = sched::DfsScheduler(x.model.net, x.options).search();
+      benchmark::DoNotOptimize(out);
+    });
+    add("Table", [](const StageFixture& x) {
+      auto out = sched::extract_schedule(x.spec, x.model, x.outcome.trace);
+      benchmark::DoNotOptimize(out);
+    });
+    add("Validate", [](const StageFixture& x) {
+      auto out = runtime::validate_schedule(x.spec, x.table);
+      benchmark::DoNotOptimize(out);
+    });
+    add("Codegen", [](const StageFixture& x) {
+      auto out = codegen::generate(x.spec, x.table);
+      benchmark::DoNotOptimize(out);
+    });
+  }
+}
+
 void print_report() {
   const std::string doc = mine_pump_document();
   auto project = core::Project::from_ezspec(doc);
@@ -125,6 +203,7 @@ void print_report() {
 
 int main(int argc, char** argv) {
   print_report();
+  register_stage_rows();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -158,8 +158,8 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
     return make_error(ErrorCode::kParseError, "<net> has no <page>");
   }
 
-  TimePetriNet net(net_el->label_text("name").value_or(
-      std::string(net_el->attribute("id").value_or("net0"))));
+  TimePetriNet net(std::string(net_el->label_text("name").value_or(
+      net_el->attribute("id").value_or("net0"))));
 
   std::map<std::string, PlaceId> place_ids;
   std::map<std::string, TransitionId> transition_ids;
@@ -185,7 +185,8 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
             place.role = *parsed_role;
           } else {
             return make_error(ErrorCode::kParseError,
-                              "unknown place role '" + *role + "'");
+                              "unknown place role '" + std::string(*role) +
+                                  "'");
           }
         }
         if (auto task = tool->label_text("task")) {
@@ -245,7 +246,8 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
             t.role = *parsed_role;
           } else {
             return make_error(ErrorCode::kParseError,
-                              "unknown transition role '" + *role + "'");
+                              "unknown transition role '" +
+                                  std::string(*role) + "'");
           }
         }
         if (auto task = tool->label_text("task")) {

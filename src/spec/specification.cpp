@@ -1,10 +1,10 @@
 #include "spec/specification.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "base/assert.hpp"
 #include "base/math.hpp"
+#include "base/name_table.hpp"
 
 namespace ezrt::spec {
 
@@ -154,8 +154,12 @@ double Specification::utilization(ProcessorId proc) const {
   return u;
 }
 
-std::string Specification::mint_identifier() {
-  return "ez" + std::to_string(next_identifier_++);
+std::string Specification::mint_identifier(const NameTable& taken) {
+  std::string id;
+  do {
+    id = "ez" + std::to_string(next_identifier_++);
+  } while (taken.find(id).has_value());
+  return id;
 }
 
 Status Specification::validate() {
@@ -176,42 +180,61 @@ Status Specification::validate() {
     std::sort(t.precedes_msgs.begin(), t.precedes_msgs.end());
   }
 
-  // Identifier minting + name uniqueness.
-  std::unordered_set<std::string> names;
+  // Identifier minting + name uniqueness. Tasks, processors and messages
+  // each have their own namespace of names and of identifiers; a minted
+  // identifier skips those its kind already uses, so a document that
+  // identifies only some of its tasks still round-trips.
+  const std::size_t most =
+      std::max({tasks_.size(), processors_.size(), messages_.size()});
+  NameTable names(most);
+  NameTable taken(most);
+  const auto collect_identifiers = [&taken](const auto& items) {
+    taken.clear();
+    for (const auto& item : items) {
+      if (!item.identifier.empty()) {
+        taken.insert(item.identifier, 0);
+      }
+    }
+  };
+  collect_identifiers(tasks_);
   for (Task& t : tasks_) {
     if (t.identifier.empty()) {
-      t.identifier = mint_identifier();
+      t.identifier = mint_identifier(taken);
     }
     if (t.name.empty()) {
       return make_error(ErrorCode::kValidationError, "task with empty name");
     }
-    if (!names.insert("t:" + t.name).second) {
+    if (!names.insert(t.name, 0)) {
       return make_error(ErrorCode::kValidationError,
                         "duplicate task name '" + t.name + "'");
     }
   }
+  names.clear();
+  collect_identifiers(processors_);
   for (Processor& p : processors_) {
     if (p.identifier.empty()) {
-      p.identifier = mint_identifier();
+      p.identifier = mint_identifier(taken);
     }
     if (p.name.empty()) {
       return make_error(ErrorCode::kValidationError,
                         "processor with empty name");
     }
-    if (!names.insert("p:" + p.name).second) {
+    if (!names.insert(p.name, 0)) {
       return make_error(ErrorCode::kValidationError,
                         "duplicate processor name '" + p.name + "'");
     }
   }
+  names.clear();
+  collect_identifiers(messages_);
   for (Message& m : messages_) {
     if (m.identifier.empty()) {
-      m.identifier = mint_identifier();
+      m.identifier = mint_identifier(taken);
     }
     if (m.name.empty()) {
       return make_error(ErrorCode::kValidationError,
                         "message with empty name");
     }
-    if (!names.insert("m:" + m.name).second) {
+    if (!names.insert(m.name, 0)) {
       return make_error(ErrorCode::kValidationError,
                         "duplicate message name '" + m.name + "'");
     }
@@ -280,11 +303,12 @@ Status Specification::validate() {
   // three-color DFS over the precedence edges.
   enum class Color : std::uint8_t { kWhite, kGray, kBlack };
   std::vector<Color> color(tasks_.size(), Color::kWhite);
+  std::vector<std::pair<TaskId, std::size_t>> stack;
   for (TaskId root : tasks_.ids()) {
     if (color[root.value()] != Color::kWhite) {
       continue;
     }
-    std::vector<std::pair<TaskId, std::size_t>> stack{{root, 0}};
+    stack.emplace_back(root, 0);
     color[root.value()] = Color::kGray;
     while (!stack.empty()) {
       auto& [node, edge] = stack.back();

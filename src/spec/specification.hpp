@@ -10,6 +10,10 @@
 #include "base/result.hpp"
 #include "spec/model.hpp"
 
+namespace ezrt {
+class NameTable;
+}  // namespace ezrt
+
 namespace ezrt::spec {
 
 class Specification {
@@ -126,7 +130,8 @@ class Specification {
   IdVector<MessageId, Message> messages_;
   std::uint64_t next_identifier_ = 1;
 
-  [[nodiscard]] std::string mint_identifier();
+  /// The next "ez<n>" identifier that `taken` does not hold.
+  [[nodiscard]] std::string mint_identifier(const NameTable& taken);
 };
 
 }  // namespace ezrt::spec

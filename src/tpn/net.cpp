@@ -1,9 +1,10 @@
 #include "tpn/net.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 
 #include "base/assert.hpp"
+#include "base/name_table.hpp"
 
 namespace ezrt::tpn {
 
@@ -95,8 +96,8 @@ PlaceId TimePetriNet::add_place(std::string name,
 TransitionId TimePetriNet::add_transition(Transition transition) {
   EZRT_CHECK(!validated_, "cannot mutate a validated net");
   const TransitionId id = transitions_.push_back(std::move(transition));
-  inputs_.push_back({});
-  outputs_.push_back({});
+  inputs_.add_row();
+  outputs_.add_row();
   return id;
 }
 
@@ -113,7 +114,7 @@ void TimePetriNet::add_input(TransitionId t, PlaceId p, std::uint32_t weight) {
   EZRT_CHECK(weight > 0, "arc weight must be positive");
   EZRT_CHECK(t.value() < transitions_.size(), "unknown transition");
   EZRT_CHECK(p.value() < places_.size(), "unknown place");
-  inputs_[t].push_back(Arc{p, weight});
+  inputs_.append(t.value(), Arc{p, weight});
 }
 
 void TimePetriNet::add_output(TransitionId t, PlaceId p,
@@ -122,7 +123,31 @@ void TimePetriNet::add_output(TransitionId t, PlaceId p,
   EZRT_CHECK(weight > 0, "arc weight must be positive");
   EZRT_CHECK(t.value() < transitions_.size(), "unknown transition");
   EZRT_CHECK(p.value() < places_.size(), "unknown place");
-  outputs_[t].push_back(Arc{p, weight});
+  outputs_.append(t.value(), Arc{p, weight});
+}
+
+void TimePetriNet::ArcTable::append(std::size_t r, Arc arc) {
+  Row& row = rows_[r];
+  const auto end = static_cast<std::uint32_t>(arcs_.size());
+  if (row.size == 0) {
+    row.begin = end;
+  }
+  if (row.size == row.room) {
+    if (row.begin + row.room == end) {
+      // The row ends the array: grow it in place.
+      arcs_.push_back(arc);
+      ++row.room;
+      ++row.size;
+      return;
+    }
+    // Full, and other rows follow it: move it to the end with twice the
+    // room. Its old cells stay as a gap.
+    arcs_.resize(end + 2 * row.size);
+    std::copy_n(arcs_.begin() + row.begin, row.size, arcs_.begin() + end);
+    row.begin = end;
+    row.room = 2 * row.size;
+  }
+  arcs_[row.begin + row.size++] = arc;
 }
 
 std::vector<std::uint32_t> TimePetriNet::initial_marking() const {
@@ -154,28 +179,31 @@ std::optional<TransitionId> TimePetriNet::find_transition(
 }
 
 Status TimePetriNet::validate() {
-  std::unordered_set<std::string> names;
+  // Places and transitions have separate namespaces; one table of views
+  // over the nodes' own names checks each in turn.
+  NameTable names(std::max(places_.size(), transitions_.size()));
   for (const Place& p : places_) {
     if (p.name.empty()) {
       return make_error(ErrorCode::kValidationError, "place with empty name");
     }
-    if (!names.insert("p:" + p.name).second) {
+    if (!names.insert(p.name, 0)) {
       return make_error(ErrorCode::kValidationError,
                         "duplicate place name '" + p.name + "'");
     }
   }
+  names.clear();
   for (const Transition& t : transitions_) {
     if (t.name.empty()) {
       return make_error(ErrorCode::kValidationError,
                         "transition with empty name");
     }
-    if (!names.insert("t:" + t.name).second) {
+    if (!names.insert(t.name, 0)) {
       return make_error(ErrorCode::kValidationError,
                         "duplicate transition name '" + t.name + "'");
     }
   }
   for (TransitionId t : transitions_.ids()) {
-    if (inputs_[t].empty()) {
+    if (inputs(t).empty()) {
       return make_error(ErrorCode::kValidationError,
                         "transition '" + transitions_[t].name +
                             "' has no input place (source transitions are "
@@ -183,53 +211,68 @@ Status TimePetriNet::validate() {
     }
   }
 
-  consumers_.clear();
-  consumers_.resize(places_.size());
+  // Consumer index (CSR) by counting sort: count per place, turn counts
+  // into starts, fill in transition-id order (each start advances to its
+  // end), then shift the ends back into starts.
+  const std::size_t place_count = places_.size();
+  consumer_offsets_.assign(place_count + 1, 0);
   for (TransitionId t : transitions_.ids()) {
-    for (const Arc& arc : inputs_[t]) {
-      consumers_[arc.place].push_back(t);
+    for (const Arc& arc : inputs(t)) {
+      ++consumer_offsets_[arc.place.value() + 1];
     }
   }
+  for (std::size_t p = 1; p <= place_count; ++p) {
+    consumer_offsets_[p] += consumer_offsets_[p - 1];
+  }
+  consumers_flat_.resize(consumer_offsets_[place_count]);
+  for (TransitionId t : transitions_.ids()) {
+    for (const Arc& arc : inputs(t)) {
+      consumers_flat_[consumer_offsets_[arc.place.value()]++] = t;
+    }
+  }
+  for (std::size_t p = place_count; p > 0; --p) {
+    consumer_offsets_[p] = consumer_offsets_[p - 1];
+  }
+  consumer_offsets_[0] = 0;
 
   // Affected-set index (CSR): the transitions whose enabledness a firing
-  // of t can change are exactly the consumers of •t ∪ t•. Dedup'd via a
-  // scratch membership vector, sorted so iteration order is the id order
-  // the dense reference scan uses.
+  // of t can change are exactly the consumers of •t ∪ t•. They are marked
+  // in a bitmap of transitions and read back in id order, the order the
+  // dense reference scan uses.
   affected_offsets_.assign(transitions_.size() + 1, 0);
   affected_flat_.clear();
-  std::vector<std::uint8_t> member(transitions_.size(), 0);
-  std::vector<TransitionId> scratch;
+  std::vector<std::uint64_t> marked((transitions_.size() + 63) / 64, 0);
   for (TransitionId t : transitions_.ids()) {
-    scratch.clear();
-    const auto collect = [&](const std::vector<Arc>& arcs) {
+    std::size_t lo = marked.size();
+    std::size_t hi = 0;
+    const auto mark = [&](std::span<const Arc> arcs) {
       for (const Arc& arc : arcs) {
-        for (TransitionId u : consumers_[arc.place]) {
-          if (!member[u.value()]) {
-            member[u.value()] = 1;
-            scratch.push_back(u);
-          }
+        const std::span<const TransitionId> users = consumers(arc.place);
+        for (TransitionId u : users) {
+          marked[u.value() / 64] |= std::uint64_t{1} << (u.value() % 64);
+        }
+        if (!users.empty()) {  // sorted: the ends bound the marked words
+          lo = std::min<std::size_t>(lo, users.front().value() / 64);
+          hi = std::max<std::size_t>(hi, users.back().value() / 64);
         }
       }
     };
-    collect(inputs_[t]);
-    collect(outputs_[t]);
-    for (TransitionId u : scratch) {
-      member[u.value()] = 0;
+    mark(inputs(t));
+    mark(outputs(t));
+    for (std::size_t w = lo; w <= hi; ++w) {
+      for (; marked[w] != 0; marked[w] &= marked[w] - 1) {
+        affected_flat_.push_back(TransitionId(static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(marked[w])))));
+      }
     }
-    std::sort(scratch.begin(), scratch.end(),
-              [](TransitionId a, TransitionId b) {
-                return a.value() < b.value();
-              });
-    affected_flat_.insert(affected_flat_.end(), scratch.begin(),
-                          scratch.end());
     affected_offsets_[t.value() + 1] =
         static_cast<std::uint32_t>(affected_flat_.size());
   }
 
   conflict_free_.assign(transitions_.size(), 1);
   for (TransitionId t : transitions_.ids()) {
-    for (const Arc& arc : inputs_[t]) {
-      if (consumers_[arc.place].size() > 1) {
+    for (const Arc& arc : inputs(t)) {
+      if (consumers(arc.place).size() > 1) {
         conflict_free_[t.value()] = 0;
         break;
       }

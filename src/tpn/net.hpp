@@ -142,18 +142,20 @@ class TimePetriNet {
   [[nodiscard]] auto place_ids() const { return places_.ids(); }
   [[nodiscard]] auto transition_ids() const { return transitions_.ids(); }
 
-  /// Preset of t as arcs (place, weight).
-  [[nodiscard]] const std::vector<Arc>& inputs(TransitionId t) const {
-    return inputs_[t];
+  /// Preset of t as arcs (place, weight), in the order they were added.
+  [[nodiscard]] std::span<const Arc> inputs(TransitionId t) const {
+    return inputs_.row(t.value());
   }
-  /// Postset of t as arcs (place, weight).
-  [[nodiscard]] const std::vector<Arc>& outputs(TransitionId t) const {
-    return outputs_[t];
+  /// Postset of t as arcs (place, weight), in the order they were added.
+  [[nodiscard]] std::span<const Arc> outputs(TransitionId t) const {
+    return outputs_.row(t.value());
   }
 
-  /// Transitions that consume from p (computed by validate()).
-  [[nodiscard]] const std::vector<TransitionId>& consumers(PlaceId p) const {
-    return consumers_[p];
+  /// Transitions that consume from p, in transition-id order (computed by
+  /// validate(); CSR layout like affected()).
+  [[nodiscard]] std::span<const TransitionId> consumers(PlaceId p) const {
+    return {consumers_flat_.data() + consumer_offsets_[p.value()],
+            consumer_offsets_[p.value() + 1] - consumer_offsets_[p.value()]};
   }
 
   /// Transitions whose enabledness can change when t fires: the consumers
@@ -204,12 +206,38 @@ class TimePetriNet {
   [[nodiscard]] bool validated() const { return validated_; }
 
  private:
+  /// The arc lists of every transition in one array: row r occupies
+  /// arcs_[begin, begin + size). A row grows in place while it ends the
+  /// array; a full row that other rows follow moves to the end with twice
+  /// the room. So arcs may be added in any order, and a net built one
+  /// transition at a time, as the builder and the PNML reader do, has its
+  /// rows back to back in transition order.
+  class ArcTable {
+   public:
+    void add_row() { rows_.push_back(Row{}); }
+    void append(std::size_t row, Arc arc);
+    [[nodiscard]] std::span<const Arc> row(std::size_t r) const {
+      return {arcs_.data() + rows_[r].begin, rows_[r].size};
+    }
+
+   private:
+    struct Row {
+      std::uint32_t begin = 0;
+      std::uint32_t size = 0;
+      std::uint32_t room = 0;
+    };
+    std::vector<Arc> arcs_;
+    std::vector<Row> rows_;
+  };
+
   std::string name_;
   IdVector<PlaceId, Place> places_;
   IdVector<TransitionId, Transition> transitions_;
-  IdVector<TransitionId, std::vector<Arc>> inputs_;
-  IdVector<TransitionId, std::vector<Arc>> outputs_;
-  IdVector<PlaceId, std::vector<TransitionId>> consumers_;
+  ArcTable inputs_;
+  ArcTable outputs_;
+  // CSR storage for consumers(), like affected() below.
+  std::vector<std::uint32_t> consumer_offsets_;
+  std::vector<TransitionId> consumers_flat_;
   // CSR storage for affected(): transition t's neighborhood occupies
   // affected_flat_[affected_offsets_[t] .. affected_offsets_[t+1]).
   std::vector<std::uint32_t> affected_offsets_;

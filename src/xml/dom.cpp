@@ -42,6 +42,11 @@ Element& Element::add_child(std::string name) {
 }
 
 Element& Element::add_child(ElementPtr child) {
+  // The parser appends children one by one; starting at room for 8 skips
+  // the 1-2-4 regrowths that ez-spec's 4-10-child elements would pay.
+  if (children_.capacity() == 0) {
+    children_.reserve(8);
+  }
   children_.push_back(std::move(child));
   return *children_.back();
 }
@@ -84,15 +89,16 @@ Result<const Element*> Element::require_child(std::string_view name) const {
                         std::string(name) + ">");
 }
 
-std::optional<std::string> Element::label_text(std::string_view name) const {
+std::optional<std::string_view> Element::label_text(
+    std::string_view name) const {
   const Element* child = find_child(name);
   if (child == nullptr) {
     return std::nullopt;
   }
   if (const Element* text = child->find_child("text")) {
-    return std::string(trim(text->text()));
+    return trim(text->text());
   }
-  return std::string(trim(child->text()));
+  return trim(child->text());
 }
 
 }  // namespace ezrt::xml

@@ -89,8 +89,8 @@ class Element {
 
   /// Trimmed text of child `name`'s `<text>` grandchild (the PNML label
   /// convention `<name><text>...</text></name>`), or of the child itself
-  /// when it has no `<text>` wrapper.
-  [[nodiscard]] std::optional<std::string> label_text(
+  /// when it has no `<text>` wrapper. The view is into that element's text.
+  [[nodiscard]] std::optional<std::string_view> label_text(
       std::string_view name) const;
 
  private:

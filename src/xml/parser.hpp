@@ -1,9 +1,10 @@
 // Recursive-descent XML parser for the DOM in dom.hpp.
 //
 // Supported syntax: XML declaration, comments, CDATA sections, elements
-// with attributes (single or double quoted), character data with the five
-// predefined entities plus decimal/hex character references. Errors carry
-// line/column positions.
+// with attributes (single or double quoted, each name once per tag),
+// character data with the five predefined entities plus decimal/hex
+// character references. Structural errors carry the line and column of
+// the byte offset where they were found.
 //
 // The parser enforces hard input limits (docs/robustness.md): documents
 // larger than kMaxInputBytes and element nesting deeper than
@@ -31,7 +32,9 @@ inline constexpr std::size_t kMaxNestingDepth = 200;
 /// Parses a complete document; input must contain exactly one root element.
 [[nodiscard]] Result<Document> parse(std::string_view input);
 
-/// Decodes entity and character references in raw character data.
+/// Decodes entity and character references in raw character data. A
+/// character reference is exactly a run of decimal digits, or of hex
+/// digits after `x`, naming an XML 1.0 §2.2 `Char`.
 [[nodiscard]] Result<std::string> decode_entities(std::string_view raw);
 
 }  // namespace ezrt::xml

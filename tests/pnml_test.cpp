@@ -353,6 +353,89 @@ TEST(EzSpec, RejectsDeadlineBeyondPeriod) {
   EXPECT_NE(s.error().message().find("c <= d <= p"), std::string::npos);
 }
 
+[[nodiscard]] std::string read_error(const std::string& doc) {
+  auto s = read_ezspec(doc);
+  return s.ok() ? std::string() : s.error().message();
+}
+
+constexpr const char* kHead =
+    "<rt:ez-spec xmlns:rt=\"http://pnmp.sf.net/EZRealtime\" name=\"x\">";
+
+[[nodiscard]] std::string task_xml(const std::string& id,
+                                   const std::string& name,
+                                   const std::string& extra = "",
+                                   const std::string& processor = "") {
+  return "<Task identifier=\"" + id + "\"" + extra + ">" +
+         (processor.empty() ? "" : "<processor>" + processor + "</processor>") +
+         "<name>" + name +
+         "</name><period>10</period><computing>1</computing>"
+         "<deadline>10</deadline></Task>";
+}
+
+TEST(EzSpec, RejectsDuplicateProcessorIdentifier) {
+  // Two processors with one identifier: the later one used to win every
+  // <processor> reference, silently moving T1 to cpuB.
+  const std::string doc =
+      std::string(kHead) +
+      "<Processor identifier=\"ez1\"><name>cpuA</name></Processor>"
+      "<Processor identifier=\"ez1\"><name>cpuB</name></Processor>" +
+      task_xml("ez2", "T1", "", "ez1") + "</rt:ez-spec>";
+  EXPECT_EQ(read_error(doc), "duplicate processor identifier 'ez1'");
+}
+
+TEST(EzSpec, RejectsDuplicateMessageIdentifier) {
+  const std::string doc =
+      std::string(kHead) +
+      "<Processor identifier=\"p\"><name>cpu</name></Processor>" +
+      task_xml("a", "A", " precedesMsgs=\"#m\"") + task_xml("b", "B") +
+      "<Message identifier=\"m\" precedes=\"#b\"><name>M1</name></Message>"
+      "<Message identifier=\"m\" precedes=\"#b\"><name>M2</name></Message>"
+      "</rt:ez-spec>";
+  EXPECT_EQ(read_error(doc), "duplicate message identifier 'm'");
+}
+
+TEST(EzSpec, RejectsRepeatedAttribute) {
+  const std::string doc =
+      std::string(kHead) +
+      "\n<Processor identifier=\"p\" identifier=\"q\"><name>cpu</name>"
+      "</Processor></rt:ez-spec>";
+  EXPECT_EQ(read_error(doc),
+            "XML parse error at line 2, column 27: duplicate attribute "
+            "'identifier' in <Processor>");
+}
+
+TEST(EzSpec, RejectsSelfReferencingRelations) {
+  const std::string proc =
+      "<Processor identifier=\"p\"><name>cpu</name></Processor>";
+  EXPECT_EQ(read_error(std::string(kHead) + proc +
+                       task_xml("a", "A", " precedesTasks=\"#a\"") +
+                       "</rt:ez-spec>"),
+            "task 'A': bad precedence target");
+  EXPECT_EQ(read_error(std::string(kHead) + proc + task_xml("b", "B") +
+                       task_xml("a", "A", " excludesTasks=\"#b #a\"") +
+                       "</rt:ez-spec>"),
+            "task 'A': bad exclusion target");
+}
+
+TEST(EzSpec, MintedIdentifiersSkipThoseInUse) {
+  // The second task has no identifier; minting must not hand it "ez1",
+  // which the first task already uses, or the written document would not
+  // read back.
+  const std::string doc =
+      std::string(kHead) +
+      "<Processor identifier=\"ez2\"><name>cpu</name></Processor>" +
+      task_xml("ez1", "A") + task_xml("", "B") + "</rt:ez-spec>";
+  auto s = read_ezspec(doc);
+  ASSERT_TRUE(s.ok()) << s.error().to_string();
+  EXPECT_EQ(s.value().task(TaskId(0)).identifier, "ez1");
+  EXPECT_EQ(s.value().task(TaskId(1)).identifier, "ez2");
+  auto written = write_ezspec(s.value());
+  ASSERT_TRUE(written.ok());
+  auto reread = read_ezspec(written.value());
+  ASSERT_TRUE(reread.ok()) << reread.error().to_string();
+  EXPECT_EQ(write_ezspec(reread.value()).value(), written.value());
+}
+
 TEST(EzSpec, MinePumpRoundTrip) {
   auto doc = write_ezspec(workload::mine_pump_specification());
   ASSERT_TRUE(doc.ok());

@@ -78,6 +78,116 @@ TEST(Net, ValidateRejectsEmptyNames) {
   EXPECT_FALSE(net.validate().ok());
 }
 
+/// The message of the error `net.validate()` returns ("" when it passes).
+[[nodiscard]] std::string validate_error(TimePetriNet& net) {
+  const Status status = net.validate();
+  return status.ok() ? std::string() : status.error().message();
+}
+
+TEST(Net, ValidateMessagesNameTheOffendingNode) {
+  {
+    TimePetriNet net;
+    net.add_place("p", 1);
+    net.add_place("", 0);
+    EXPECT_EQ(validate_error(net), "place with empty name");
+  }
+  {
+    TimePetriNet net;
+    const PlaceId p = net.add_place("p", 1);
+    const TransitionId t = net.add_transition("", TimeInterval(0, 0));
+    net.add_input(t, p);
+    EXPECT_EQ(validate_error(net), "transition with empty name");
+  }
+  {
+    TimePetriNet net;
+    const PlaceId p = net.add_place("p", 1);
+    net.add_input(net.add_transition("t", TimeInterval(0, 0)), p);
+    net.add_input(net.add_transition("t", TimeInterval(1, 1)), p);
+    EXPECT_EQ(validate_error(net), "duplicate transition name 't'");
+  }
+  {
+    TimePetriNet net;
+    const PlaceId p = net.add_place("p", 1);
+    net.add_input(net.add_transition("t0", TimeInterval(0, 0)), p);
+    net.add_transition("t1", TimeInterval(0, 0));
+    EXPECT_EQ(validate_error(net),
+              "transition 't1' has no input place (source transitions are "
+              "not supported)");
+  }
+}
+
+TEST(Net, ValidateReportsTheFirstDuplicateInInsertionOrder) {
+  TimePetriNet net;
+  for (const char* name : {"a", "b", "c", "c", "b", "a"}) {
+    net.add_place(name, 0);
+  }
+  EXPECT_EQ(validate_error(net), "duplicate place name 'c'");
+}
+
+TEST(Net, ValidateChecksPlacesThenTransitionsThenSources) {
+  // Every defect at once: the place checks run first, then the
+  // transition names, then the source-transition check.
+  TimePetriNet net;
+  net.add_place("p", 1);
+  net.add_transition("", TimeInterval(0, 0));
+  net.add_transition("u", TimeInterval(0, 0));
+  net.add_transition("u", TimeInterval(0, 0));
+  net.add_place("p", 0);
+  EXPECT_EQ(validate_error(net), "duplicate place name 'p'");
+
+  TimePetriNet no_place_defect;
+  no_place_defect.add_place("p", 1);
+  no_place_defect.add_transition("u", TimeInterval(0, 0));
+  no_place_defect.add_transition("u", TimeInterval(0, 0));
+  EXPECT_EQ(validate_error(no_place_defect), "duplicate transition name 'u'");
+}
+
+TEST(Net, PlaceAndTransitionMayShareAName) {
+  TimePetriNet net;
+  const PlaceId p = net.add_place("x", 1);
+  const TransitionId t = net.add_transition("x", TimeInterval(0, 0));
+  net.add_input(t, p);
+  EXPECT_EQ(validate_error(net), "");
+  EXPECT_EQ(net.find_place("x"), p);
+  EXPECT_EQ(net.find_transition("x"), t);
+}
+
+TEST(Net, ArcsReadBackBeforeAndAfterValidate) {
+  // Arcs added out of transition order, interleaved across transitions.
+  TimePetriNet net;
+  const PlaceId a = net.add_place("a", 1);
+  const PlaceId b = net.add_place("b", 0);
+  const PlaceId c = net.add_place("c", 0);
+  const TransitionId t0 = net.add_transition("t0", TimeInterval(0, 0));
+  const TransitionId t1 = net.add_transition("t1", TimeInterval(0, 0));
+  net.add_input(t1, b);
+  net.add_input(t0, a);
+  net.add_output(t0, b, 2);
+  net.add_input(t1, c, 3);
+  net.add_output(t1, a);
+  net.add_output(t0, c);
+  const auto check = [&] {
+    ASSERT_EQ(net.inputs(t0).size(), 1u);
+    EXPECT_EQ(net.inputs(t0)[0].place, a);
+    ASSERT_EQ(net.outputs(t0).size(), 2u);
+    EXPECT_EQ(net.outputs(t0)[0].place, b);
+    EXPECT_EQ(net.outputs(t0)[0].weight, 2u);
+    EXPECT_EQ(net.outputs(t0)[1].place, c);
+    ASSERT_EQ(net.inputs(t1).size(), 2u);
+    EXPECT_EQ(net.inputs(t1)[0].place, b);
+    EXPECT_EQ(net.inputs(t1)[1].place, c);
+    EXPECT_EQ(net.inputs(t1)[1].weight, 3u);
+    ASSERT_EQ(net.outputs(t1).size(), 1u);
+    EXPECT_EQ(net.outputs(t1)[0].place, a);
+  };
+  check();
+  ASSERT_TRUE(net.validate().ok());
+  check();
+  ASSERT_EQ(net.consumers(b).size(), 1u);
+  EXPECT_EQ(net.consumers(b)[0], t1);
+  EXPECT_EQ(net.consumers(a)[0], t0);
+}
+
 TEST(Net, MutationAfterValidateIsRefused) {
   TinyNet tiny;
   EXPECT_THROW(tiny.net.add_place("late", 0), ContractViolation);

@@ -3,7 +3,11 @@
 // parse to *something* or be rejected cleanly — never crash or hang.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "base/strings.hpp"
+#include "pnml/ezspec_io.hpp"
 #include "workload/generator.hpp"
 #include "xml/dom.hpp"
 #include "xml/parser.hpp"
@@ -136,6 +140,138 @@ TEST_P(XmlFuzz, MutatedDocumentsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlFuzz,
                          testing::Range<std::uint64_t>(1, 26));
+
+// -- The ez-spec reader under mutation ---------------------------------------
+//
+// Seeded mutations of the checked-in example documents go through
+// `pnml::read_ezspec`. Every variant must be rejected with a non-empty
+// diagnostic or accepted; an accepted spec must survive write -> read ->
+// write unchanged (the first write canonicalizes, so the fixpoint is
+// checked from there).
+
+[[nodiscard]] std::vector<std::string> example_documents() {
+  std::vector<std::string> docs;
+  for (const char* model : {"harmonic_u40", "mine_pump", "uav_dual_processor"}) {
+    std::ifstream in(std::string(EZRT_EXAMPLE_SPECS_DIR) + "/" + model +
+                     ".ezspec");
+    std::stringstream text;
+    text << in.rdbuf();
+    docs.push_back(text.str());
+  }
+  return docs;
+}
+
+/// Tokens that aim at the reader's edge cases: character references,
+/// markup fragments, reference lists and repeated identifiers.
+constexpr const char* kTokens[] = {
+    "&#",        "&#x",         "&#65;",        "&#x41;",
+    "&#xD800;",  "&#65abc;",    "&#+65;",       "&# 65;",
+    "&#x 41;",   "&#x110000;",  "&#9;",         "&amp;",
+    "&lt;",      "&",           ";",            "<",
+    ">",         "/>",          "\"",           "'",
+    "=",         "#",           "#ez1",         "<!--",
+    "-->",       "<![CDATA[",   "]]>",          "</Task>",
+    "<Task>",    "<name>",      "</name>",      " identifier=\"ez1\"",
+    " identifier=\"ez2\"",    " precedesTasks=\"#ez1\"",
+    " excludesTasks=\"#ez2 #ez1\"",             " precedesMsgs=\"#ez1\"",
+    "<Processor identifier=\"ez1\"><name>cpuB</name></Processor>",
+    "<Message identifier=\"ez1\"><name>m</name></Message>",
+    "<period>0</period>",       "<computing>99999999999999999999</computing>",
+    "<schedulingMode>P</schedulingMode>",        "<processor>ez1</processor>",
+};
+
+/// One seeded mutation of `doc`; `other` is a second document to splice
+/// from. Two of the kinds aim at character data and numbers, which keep
+/// the markup intact, so that a share of the variants is accepted and
+/// reaches the round-trip check.
+void mutate(std::string& doc, const std::string& other, workload::Rng& rng) {
+  if (doc.empty()) {
+    doc = other.substr(0, rng.below(other.size() + 1));
+    return;
+  }
+  std::size_t pos = rng.below(doc.size());
+  switch (rng.below(8)) {
+    case 0:  // bit flip
+      doc[pos] = static_cast<char>(doc[pos] ^ (1u << rng.below(8)));
+      break;
+    case 1:  // truncation
+      doc.resize(pos);
+      break;
+    case 2: {  // splice a slice of the other document in, or over
+      const std::size_t from = rng.below(other.size());
+      const std::string slice = other.substr(from, 1 + rng.below(64));
+      if (rng.below(2) == 0) {
+        doc.insert(pos, slice);
+      } else {
+        doc.replace(pos, std::min<std::size_t>(slice.size(), doc.size() - pos),
+                    slice);
+      }
+      break;
+    }
+    case 3:  // dictionary token anywhere
+      doc.insert(pos, kTokens[rng.below(std::size(kTokens))]);
+      break;
+    case 6:  // dictionary token at the start of a character-data run
+      pos = doc.find('>', pos);
+      if (pos != std::string::npos) {
+        doc.insert(pos + 1, kTokens[rng.below(std::size(kTokens))]);
+      }
+      break;
+    case 7: {  // another number in place of a digit run
+      pos = doc.find_first_of("0123456789", pos);
+      if (pos != std::string::npos) {
+        const std::size_t end = doc.find_first_not_of("0123456789", pos);
+        doc.replace(pos, end - pos, std::to_string(rng.below(2000)));
+      }
+      break;
+    }
+    case 4: {  // repeat an attribute of the tag the position falls in
+      const std::size_t eq = doc.find("=\"", pos);
+      const std::size_t start =
+          eq == std::string::npos ? eq : doc.rfind(' ', eq);
+      const std::size_t end =
+          eq == std::string::npos ? eq : doc.find('"', eq + 2);
+      if (start != std::string::npos && end != std::string::npos) {
+        doc.insert(end + 1, doc.substr(start, end + 1 - start));
+      }
+      break;
+    }
+    default:  // delete a short run
+      doc.erase(pos, 1 + rng.below(8));
+      break;
+  }
+}
+
+class EzSpecFuzz : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EzSpecFuzz, MutatedDocumentsAreRejectedCleanlyOrRoundTrip) {
+  const std::vector<std::string> docs = example_documents();
+  workload::Rng rng(GetParam() * 0x9e3779b97f4a7c15ull + 1);
+  for (int round = 0; round < 100; ++round) {
+    const std::size_t base = rng.below(docs.size());
+    std::string doc = docs[base];
+    const std::uint64_t mutations = 1 + rng.below(2);
+    for (std::uint64_t i = 0; i < mutations; ++i) {
+      mutate(doc, docs[rng.below(docs.size())], rng);
+    }
+    auto read = pnml::read_ezspec(doc);
+    if (!read.ok()) {
+      EXPECT_FALSE(read.error().message().empty()) << doc;
+      continue;
+    }
+    auto written = pnml::write_ezspec(read.value());
+    ASSERT_TRUE(written.ok()) << doc;
+    auto reread = pnml::read_ezspec(written.value());
+    ASSERT_TRUE(reread.ok()) << reread.error().to_string() << "\n"
+                             << written.value();
+    auto rewritten = pnml::write_ezspec(reread.value());
+    ASSERT_TRUE(rewritten.ok());
+    EXPECT_EQ(rewritten.value(), written.value()) << doc;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EzSpecFuzz,
+                         testing::Range<std::uint64_t>(1, 41));
 
 // -- Hard input limits (docs/robustness.md) ---------------------------------
 

@@ -107,6 +107,171 @@ TEST(XmlParser, ErrorCarriesLineInformation) {
   EXPECT_NE(doc.error().message().find("line 3"), std::string::npos);
 }
 
+// -- Diagnostics: the exact text, line and column of every error path -------
+
+/// The message of the error `parse(input)` returns ("" when it parses).
+[[nodiscard]] std::string parse_error(std::string_view input) {
+  auto doc = parse(input);
+  return doc.ok() ? std::string() : doc.error().message();
+}
+
+TEST(XmlErrors, DocumentLevelPositions) {
+  EXPECT_EQ(parse_error("   "),
+            "XML parse error at line 1, column 4: expected root element");
+  EXPECT_EQ(parse_error("x"),
+            "XML parse error at line 1, column 1: expected root element");
+  EXPECT_EQ(parse_error("<a/><b/>"),
+            "XML parse error at line 1, column 5: content after the root "
+            "element");
+  EXPECT_EQ(parse_error("<!-- open"),
+            "XML parse error at line 1, column 10: expected root element");
+  EXPECT_EQ(parse_error("<?xml version='1.0'"),
+            "XML parse error at line 1, column 20: expected root element");
+  EXPECT_EQ(parse_error("<!DOCTYPE x"),
+            "XML parse error at line 1, column 12: expected root element");
+}
+
+TEST(XmlErrors, NamePositions) {
+  EXPECT_EQ(parse_error("<1/>"),
+            "XML parse error at line 1, column 2: expected a name");
+  EXPECT_EQ(parse_error("<a 1='x'/>"),
+            "XML parse error at line 1, column 4: expected a name");
+  EXPECT_EQ(parse_error("<a></ >"),
+            "XML parse error at line 1, column 6: expected a name");
+}
+
+TEST(XmlErrors, StartTagPositions) {
+  EXPECT_EQ(parse_error("<a "),
+            "XML parse error at line 1, column 4: unterminated start tag <a");
+  EXPECT_EQ(parse_error("<a k/>"),
+            "XML parse error at line 1, column 5: expected '=' after "
+            "attribute name 'k'");
+  EXPECT_EQ(parse_error("<a k=v/>"),
+            "XML parse error at line 1, column 6: expected quoted attribute "
+            "value");
+  EXPECT_EQ(parse_error("<a k='v/>"),
+            "XML parse error at line 1, column 10: unterminated attribute "
+            "value");
+  EXPECT_EQ(parse_error("<a k = \"v/>"),
+            "XML parse error at line 1, column 12: unterminated attribute "
+            "value");
+}
+
+TEST(XmlErrors, ContentPositions) {
+  EXPECT_EQ(parse_error("<a>"),
+            "XML parse error at line 1, column 4: missing end tag </a>");
+  EXPECT_EQ(parse_error("<a>text"),
+            "XML parse error at line 1, column 8: missing end tag </a>");
+  EXPECT_EQ(parse_error("<a><![CDATA[x"),
+            "XML parse error at line 1, column 14: missing end tag </a>");
+  EXPECT_EQ(parse_error("<a><!-- x"),
+            "XML parse error at line 1, column 10: missing end tag </a>");
+  EXPECT_EQ(parse_error("<a></b>"),
+            "XML parse error at line 1, column 7: mismatched end tag </b>, "
+            "expected </a>");
+  EXPECT_EQ(parse_error("<a></a x>"),
+            "XML parse error at line 1, column 8: malformed end tag");
+}
+
+TEST(XmlErrors, NestingLimitPosition) {
+  std::string doc;
+  for (std::size_t i = 0; i < kMaxNestingDepth + 1; ++i) {
+    doc += "<a>";
+  }
+  EXPECT_EQ(parse_error(doc),
+            "XML parse error at line 1, column 601: element nesting deeper "
+            "than 200 levels");
+}
+
+TEST(XmlErrors, LineAndColumnCountBytesAfterTheLastNewline) {
+  EXPECT_EQ(parse_error("<a>\n\n<b oops</b></a>"),
+            "XML parse error at line 3, column 8: expected '=' after "
+            "attribute name 'oops'");
+  // '\r' is an ordinary byte; '\t' counts one column.
+  EXPECT_EQ(parse_error("<a>\r\n\t<b k>"),
+            "XML parse error at line 2, column 6: expected '=' after "
+            "attribute name 'k'");
+  // Columns count bytes, not characters: U+00E9 is two.
+  EXPECT_EQ(parse_error("<a>\xC3\xA9<b k>"),
+            "XML parse error at line 1, column 10: expected '=' after "
+            "attribute name 'k'");
+  EXPECT_EQ(parse_error("<a>\n  <b>\n  </b>\n</c>"),
+            "XML parse error at line 4, column 4: mismatched end tag </c>, "
+            "expected </a>");
+}
+
+TEST(XmlErrors, EntityErrorsCarryNoPosition) {
+  EXPECT_EQ(parse_error("<a>&nope;</a>"), "unknown entity &nope;");
+  EXPECT_EQ(parse_error("<a k='&nope;'/>"), "unknown entity &nope;");
+  EXPECT_EQ(parse_error("<a>&lt</a>"), "unterminated entity reference");
+  EXPECT_EQ(parse_error("<a>&#zz;</a>"), "bad character reference &#zz;");
+  EXPECT_EQ(parse_error("<a>&#0;</a>"), "character reference out of range");
+  EXPECT_EQ(parse_error("<a>&#x110000;</a>"),
+            "character reference out of range");
+}
+
+TEST(XmlErrors, RepeatedAttributeIsRejectedAtItsName) {
+  // XML 1.0 §3.1: an attribute name appears at most once in a tag.
+  EXPECT_EQ(parse_error("<a k='1' k='2'/>"),
+            "XML parse error at line 1, column 10: duplicate attribute 'k' "
+            "in <a>");
+  EXPECT_EQ(parse_error("<r>\n  <task id=\"a\" name=\"x\"\n        id=\"b\"/></r>"),
+            "XML parse error at line 3, column 9: duplicate attribute 'id' "
+            "in <task>");
+  // Same name, different prefixes: distinct attributes.
+  EXPECT_EQ(parse_error("<a x:k='1' y:k='2' k='3'/>"), "");
+}
+
+TEST(XmlEntities, CharacterReferencesAreExactlyADigitRun) {
+  for (const char* bad : {"&#65abc;", "&#+65;", "&# 65;", "&#-65;", "&#x41zz;",
+                          "&#x 41;", "&#x+41;", "&#;", "&#x;", "&#6 5;",
+                          "&#99999999999999999999999;"}) {
+    auto r = decode_entities(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.error().message(),
+              "bad character reference " + std::string(bad))
+        << bad;
+    EXPECT_EQ(parse_error(std::string("<a>") + bad + "</a>"),
+              "bad character reference " + std::string(bad));
+  }
+}
+
+TEST(XmlEntities, CharacterReferencesNameOnlyXmlChars) {
+  // XML 1.0 §2.2 Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD]
+  // | [#x10000-#x10FFFF]. Surrogates would encode invalid UTF-8.
+  for (const char* bad : {"&#0;", "&#1;", "&#x8;", "&#xB;", "&#xC;", "&#xE;",
+                          "&#x1F;", "&#xD800;", "&#xDFFF;", "&#xFFFE;",
+                          "&#xFFFF;", "&#x110000;", "&#4294967296;"}) {
+    auto r = decode_entities(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.error().message(), "character reference out of range") << bad;
+  }
+  const std::pair<const char*, const char*> good[] = {
+      {"&#9;", "\t"},
+      {"&#xA;", "\n"},
+      {"&#13;", "\r"},
+      {"&#x20;", " "},
+      {"&#065;", "A"},
+      {"&#X41;", "A"},
+      {"&#xD7FF;", "\xED\x9F\xBF"},
+      {"&#xE000;", "\xEE\x80\x80"},
+      {"&#xFFFD;", "\xEF\xBF\xBD"},
+      {"&#x10000;", "\xF0\x90\x80\x80"},
+      {"&#x10FFFF;", "\xF4\x8F\xBF\xBF"},
+  };
+  for (const auto& [reference, utf8] : good) {
+    auto r = decode_entities(reference);
+    ASSERT_TRUE(r.ok()) << reference;
+    EXPECT_EQ(r.value(), utf8) << reference;
+  }
+}
+
+TEST(XmlParser, TextWithoutReferencesIsKeptByteForByte) {
+  auto doc = parse("<a>\n  x\t<b/> y &amp; z\n</a>");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc.value().root->text(), "\n  x\t y & z\n");
+}
+
 TEST(XmlDom, RequireAttributeReportsElement) {
   Element e("place");
   auto r = e.require_attribute("id");

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 namespace ezrt {
 
@@ -48,6 +49,19 @@ Result<std::uint64_t> parse_uint(std::string_view s) {
                       "not a non-negative integer: '" + std::string(s) + "'");
   }
   return value;
+}
+
+Result<std::uint32_t> parse_uint32(std::string_view s) {
+  auto value = parse_uint(s);
+  if (!value.ok()) {
+    return value.error();
+  }
+  if (value.value() > std::numeric_limits<std::uint32_t>::max()) {
+    return make_error(ErrorCode::kParseError,
+                      "not a non-negative 32-bit integer: '" +
+                          std::string(trim(s)) + "'");
+  }
+  return static_cast<std::uint32_t>(value.value());
 }
 
 Result<std::int64_t> parse_int(std::string_view s) {

@@ -1,7 +1,8 @@
 #include "codegen/c_generator.hpp"
 
-#include <set>
-#include <sstream>
+#include <algorithm>
+#include <numeric>
+#include <tuple>
 
 #include "base/strings.hpp"
 
@@ -12,44 +13,67 @@ namespace {
 using spec::Specification;
 using spec::Task;
 
-[[nodiscard]] std::string task_symbol(const Task& task) {
-  return "task_" + sanitize_c_identifier(task.name);
+/// What the emitters of one generate() call share: the specification and
+/// each task's sanitized C identifier, computed once. The entry point of
+/// task t is "task_" + ident(t); its table comments name ident(t).
+struct Context {
+  const Specification& spec;
+  std::vector<std::string> idents;  ///< by task id
+
+  [[nodiscard]] const std::string& ident(TaskId id) const {
+    return idents[id.value()];
+  }
+};
+
+/// The first task, in id order, whose identifier an earlier task already
+/// maps to; invalid when every identifier is distinct.
+[[nodiscard]] TaskId first_colliding_task(
+    const std::vector<std::string>& idents) {
+  std::vector<std::uint32_t> order(idents.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::tie(idents[a], a) < std::tie(idents[b], b);
+  });
+  // Within a run of equal identifiers every task after the first collides;
+  // the earliest of those in id order is the one a left-to-right scan meets.
+  TaskId first;
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (idents[order[i]] == idents[order[i - 1]] &&
+        (!first.valid() || order[i] < first.value())) {
+      first = TaskId(order[i]);
+    }
+  }
+  return first;
 }
 
-[[nodiscard]] std::string msg_send_symbol(const spec::Message& msg) {
-  return "msg_send_" + sanitize_c_identifier(msg.name);
-}
-
-[[nodiscard]] std::string msg_recv_symbol(const spec::Message& msg) {
-  return "msg_recv_" + sanitize_c_identifier(msg.name);
-}
+/// Room reserved per table row: one row with short task names is ~50 bytes.
+constexpr std::size_t kRowBytes = 64;
 
 /// A struct ScheduleItem array, formatted like the paper's Fig 8 including
 /// the start/preempt commentary. `symbol`/`size_macro` name the emitted
 /// array (the mono-processor table and each per-core table share the
 /// format).
-[[nodiscard]] std::string emit_table_named(
-    const Specification& spec, const std::vector<sched::ScheduleItem>& items,
-    const std::string& symbol, const std::string& size_macro) {
-  std::ostringstream os;
+void append_table(TextBuilder& os, const Context& ctx,
+                  const std::vector<sched::ScheduleItem>& items,
+                  std::string_view symbol, std::string_view size_macro) {
   os << "const struct ScheduleItem " << symbol << "[" << size_macro
      << "] = {\n";
   for (std::size_t i = 0; i < items.size(); ++i) {
     const sched::ScheduleItem& item = items[i];
-    const Task& task = spec.task(item.task);
-    os << "  {" << item.start << "ul, " << (item.preempted ? 1 : 0) << ", "
-       << item.task.value() + 1 << ", " << task_symbol(task) << "}"
-       << (i + 1 < items.size() ? "," : " ") << " /* "
-       << sanitize_c_identifier(task.name) << item.instance + 1
-       << (item.preempted ? " resumes" : " starts") << " */\n";
+    const std::string& ident = ctx.ident(item.task);
+    os << "  {" << item.start << "ul, " << (item.preempted ? '1' : '0')
+       << ", " << item.task.value() + 1 << ", task_" << ident << "}"
+       << (i + 1 < items.size() ? ',' : ' ') << " /* " << ident
+       << item.instance + 1
+       << (item.preempted ? " resumes */\n" : " starts */\n");
   }
   os << "};\n";
-  return os.str();
 }
 
-[[nodiscard]] std::string emit_header(const Specification& spec,
+[[nodiscard]] std::string emit_header(const Context& ctx,
                                       const sched::ScheduleTable& table) {
-  std::ostringstream os;
+  const Specification& spec = ctx.spec;
+  TextBuilder os(1024 + 96 * spec.task_count());
   os << "/* Generated by ezRealtime — scheduled code for '" << spec.name()
      << "'.\n"
      << " * Schedule period (hyper-period): " << table.schedule_period
@@ -68,18 +92,19 @@ using spec::Task;
      << "};\n\n"
      << "extern const struct ScheduleItem scheduleTable[SCHEDULE_SIZE];\n\n";
   for (TaskId id : spec.task_ids()) {
-    os << "void " << task_symbol(spec.task(id)) << "(void); /* WCET "
-       << spec.task(id).timing.computation << ", deadline "
-       << spec.task(id).timing.deadline << ", period "
-       << spec.task(id).timing.period << " */\n";
+    const spec::TimingConstraints& c = spec.task(id).timing;
+    os << "void task_" << ctx.ident(id) << "(void); /* WCET "
+       << c.computation << ", deadline " << c.deadline << ", period "
+       << c.period << " */\n";
   }
   os << "\n#endif /* EZRT_SCHEDULE_H */\n";
-  return os.str();
+  return os.take();
 }
 
-[[nodiscard]] std::string emit_tasks(const Specification& spec,
+[[nodiscard]] std::string emit_tasks(const Context& ctx,
                                      const CodegenOptions& options) {
-  std::ostringstream os;
+  const Specification& spec = ctx.spec;
+  TextBuilder os(256 + 160 * spec.task_count());
   os << "/* Task bodies: behavioral specification spliced from the model\n"
      << " * (SourceCodeC contents). Generated by ezRealtime. */\n"
      << "#include \"schedule.h\"\n\n";
@@ -89,12 +114,20 @@ using spec::Task;
        << spec::to_string(task.scheduling) << ", c="
        << task.timing.computation << " d=" << task.timing.deadline << " p="
        << task.timing.period << " */\n";
-    os << "void " << task_symbol(task) << "(void)\n{\n";
+    os << "void task_" << ctx.ident(id) << "(void)\n{\n";
     if (options.include_user_code && task.code.has_value() &&
         !task.code->content.empty()) {
-      // Indent the user code one level; it is emitted verbatim otherwise.
-      for (const std::string& line : split(task.code->content, '\n')) {
-        os << "  " << line << "\n";
+      // Indent each line of the user code one level (an empty line or a
+      // trailing newline yields an indented empty line); it is emitted
+      // verbatim otherwise.
+      const std::string_view code = task.code->content;
+      for (std::size_t start = 0;;) {
+        const std::size_t end = code.find('\n', start);
+        os << "  " << code.substr(start, end - start) << "\n";
+        if (end == std::string_view::npos) {
+          break;
+        }
+        start = end + 1;
       }
     } else {
       os << "  /* TODO: behavioral code for " << task.name
@@ -102,7 +135,7 @@ using spec::Task;
     }
     os << "}\n\n";
   }
-  return os.str();
+  return os.take();
 }
 
 /// Bare-metal dispatcher: timer ISR walks the table; the port header
@@ -110,12 +143,12 @@ using spec::Task;
 /// `size_macro` name the table the ISR walks; `core_note` is an extra
 /// header-comment line for per-processor images (empty for mono).
 [[nodiscard]] std::string emit_baremetal_core(
-    const Specification& spec, const std::vector<sched::ScheduleItem>& items,
-    const std::string& sym, const std::string& size_macro,
-    const std::string& core_note) {
-  std::ostringstream os;
+    const Context& ctx, const std::vector<sched::ScheduleItem>& items,
+    std::string_view sym, std::string_view size_macro,
+    std::string_view core_note) {
+  TextBuilder os(2560 + kRowBytes * items.size());
   os << "/* Pre-runtime dispatcher (bare-metal backend).\n"
-     << " * Generated by ezRealtime for '" << spec.name() << "'.\n"
+     << " * Generated by ezRealtime for '" << ctx.spec.name() << "'.\n"
      << core_note << " *\n"
      << " * The port header must define:\n"
      << " *   SAVE_CONTEXT(slot)     — save CPU state of the running task\n"
@@ -126,12 +159,13 @@ using spec::Task;
      << " */\n"
      << "#include \"schedule.h\"\n"
      << "#include \"port.h\"\n\n";
-  if (spec.dispatcher_overhead()) {
+  if (ctx.spec.dispatcher_overhead()) {
     os << "/* EzRTSpecC.dispOveh: account dispatcher latency when\n"
        << " * programming the timer. Calibrate per platform. */\n"
        << "#define DISPATCH_OVERHEAD_TICKS 1\n\n";
   }
-  os << emit_table_named(spec, items, sym, size_macro) << "\n"
+  append_table(os, ctx, items, sym, size_macro);
+  os << "\n"
      << "static unsigned int currentItem = 0u;\n"
      << "static unsigned long cycleBase = 0ul; /* start of current period */\n"
      << "\n"
@@ -173,22 +207,17 @@ using spec::Task;
      << "    IDLE();\n"
      << "  }\n"
      << "}\n";
-  return os.str();
-}
-
-[[nodiscard]] std::string emit_baremetal_dispatcher(
-    const Specification& spec, const sched::ScheduleTable& table) {
-  return emit_baremetal_core(spec, table.items, "scheduleTable",
-                             "SCHEDULE_SIZE", "");
+  return os.take();
 }
 
 /// Host-simulation backend: same dispatcher walk, virtual clock, built-in
 /// deadline checking. Returns the number of missed instances from main().
 [[nodiscard]] std::string emit_hostsim_core(
-    const Specification& spec, const std::vector<sched::ScheduleItem>& items,
-    const std::string& sym, const std::string& size_macro,
-    const std::string& core_note) {
-  std::ostringstream os;
+    const Context& ctx, const std::vector<sched::ScheduleItem>& items,
+    std::string_view sym, std::string_view size_macro,
+    std::string_view core_note) {
+  const Specification& spec = ctx.spec;
+  TextBuilder os(3072 + 96 * spec.task_count() + kRowBytes * items.size());
   os << "/* Pre-runtime dispatcher (host-simulation backend).\n"
      << " * Generated by ezRealtime for '" << spec.name() << "'.\n"
      << core_note
@@ -209,8 +238,9 @@ using spec::Task;
        << t.timing.release << "ul, " << t.timing.computation << "ul, "
        << t.timing.deadline << "ul, " << t.timing.period << "ul},\n";
   }
-  os << "};\n\n"
-     << emit_table_named(spec, items, sym, size_macro) << "\n"
+  os << "};\n\n";
+  append_table(os, ctx, items, sym, size_macro);
+  os << "\n"
      << "static unsigned long executed[TASK_COUNT];  /* of open instance */\n"
      << "static unsigned long instances[TASK_COUNT]; /* started so far   */\n"
      << "static unsigned long misses = 0ul;\n\n"
@@ -256,21 +286,19 @@ using spec::Task;
      << "  printf(\"schedule period done: %lu misses\\n\", misses);\n"
      << "  return (int)misses;\n"
      << "}\n";
-  return os.str();
-}
-
-[[nodiscard]] std::string emit_hostsim_dispatcher(
-    const Specification& spec, const sched::ScheduleTable& table) {
-  return emit_hostsim_core(spec, table.items, "scheduleTable",
-                           "SCHEDULE_SIZE", "");
+  return os.take();
 }
 
 /// Multi-processor schedule.h: shared ScheduleItem layout, one table per
 /// processor (each core gets its own image built from its own
 /// dispatcher_p<i>.c), and stub declarations for inter-processor messages.
+/// `per_core` holds each processor's rows.
 [[nodiscard]] std::string emit_header_multi(
-    const Specification& spec, const sched::ScheduleTable& table) {
-  std::ostringstream os;
+    const Context& ctx, const sched::ScheduleTable& table,
+    const std::vector<std::vector<sched::ScheduleItem>>& per_core) {
+  const Specification& spec = ctx.spec;
+  TextBuilder os(1024 + 160 * spec.processor_count() +
+                 96 * spec.task_count() + 192 * spec.message_count());
   os << "/* Generated by ezRealtime — scheduled code for '" << spec.name()
      << "' (" << spec.processor_count() << " processors).\n"
      << " * Schedule period (hyper-period): " << table.schedule_period
@@ -289,12 +317,12 @@ using spec::Task;
      << "  void (*task)(void);   /* task entry point                  */\n"
      << "};\n\n";
   for (ProcessorId pid : spec.processor_ids()) {
-    const std::size_t core = pid.value();
-    const std::vector<sched::ScheduleItem> items = table.items_for(pid);
+    const std::uint32_t core = pid.value();
+    const std::size_t rows = per_core[core].size();
     os << "/* Core " << core << ": '" << spec.processor(pid).name << "' — "
-       << items.size() << " dispatch points. */\n"
-       << "#define SCHEDULE_SIZE_P" << core << " " << items.size() << "\n";
-    if (!items.empty()) {
+       << rows << " dispatch points. */\n"
+       << "#define SCHEDULE_SIZE_P" << core << " " << rows << "\n";
+    if (rows > 0) {
       os << "extern const struct ScheduleItem scheduleTable_p" << core
          << "[SCHEDULE_SIZE_P" << core << "];\n";
     }
@@ -302,7 +330,7 @@ using spec::Task;
   }
   for (TaskId id : spec.task_ids()) {
     const Task& t = spec.task(id);
-    os << "void " << task_symbol(t) << "(void); /* core "
+    os << "void task_" << ctx.ident(id) << "(void); /* core "
        << t.processor.value() << ", WCET " << t.timing.computation
        << ", deadline " << t.timing.deadline << ", period "
        << t.timing.period << " */\n";
@@ -313,22 +341,24 @@ using spec::Task;
        << " * bus window for every transfer, so the stubs never block. */\n";
     for (MessageId mid : spec.message_ids()) {
       const spec::Message& m = spec.message(mid);
-      os << "void " << msg_send_symbol(m) << "(void); /* core "
+      const std::string ident = sanitize_c_identifier(m.name);
+      os << "void msg_send_" << ident << "(void); /* core "
          << spec.task(m.sender).processor.value() << " -> core "
          << spec.task(m.receiver).processor.value() << " on '" << m.bus
          << "' */\n"
-         << "void " << msg_recv_symbol(m) << "(void);\n";
+         << "void msg_recv_" << ident << "(void);\n";
     }
   }
   os << "\n#endif /* EZRT_SCHEDULE_H */\n";
-  return os.str();
+  return os.take();
 }
 
 /// messages.c: one send/receive stub pair per inter-processor message,
 /// with the statically reserved bus windows documented alongside.
 [[nodiscard]] std::string emit_messages(const Specification& spec,
                                         const sched::ScheduleTable& table) {
-  std::ostringstream os;
+  TextBuilder os(512 + 384 * spec.message_count() +
+                 24 * table.bus_timeline.size());
   os << "/* Inter-processor message stubs for '" << spec.name() << "'.\n"
      << " * The pre-runtime schedule reserves a bus window for every\n"
      << " * transfer (listed below), so these stubs are plain hook points\n"
@@ -337,10 +367,11 @@ using spec::Task;
      << "#include \"schedule.h\"\n";
   for (MessageId mid : spec.message_ids()) {
     const spec::Message& m = spec.message(mid);
-    os << "\n/* " << m.name << ": '" << spec.task(m.sender).name
-       << "' (core " << spec.task(m.sender).processor.value() << ") -> '"
-       << spec.task(m.receiver).name << "' (core "
-       << spec.task(m.receiver).processor.value() << ") on bus '" << m.bus
+    const spec::Task& sender = spec.task(m.sender);
+    const spec::Task& receiver = spec.task(m.receiver);
+    os << "\n/* " << m.name << ": '" << sender.name << "' (core "
+       << sender.processor.value() << ") -> '" << receiver.name
+       << "' (core " << receiver.processor.value() << ") on bus '" << m.bus
        << "'.\n * Reserved windows:";
     bool any = false;
     for (const sched::BusSegment& seg : table.bus_timeline) {
@@ -353,19 +384,20 @@ using spec::Task;
     if (!any) {
       os << " none in this hyper-period";
     }
+    const std::string ident = sanitize_c_identifier(m.name);
     os << " */\n"
-       << "void " << msg_send_symbol(m) << "(void)\n"
+       << "void msg_send_" << ident << "(void)\n"
        << "{\n"
        << "  /* EZRT_PORT_TODO: enqueue the payload of '" << m.name
        << "' on bus '" << m.bus << "'. */\n"
        << "}\n\n"
-       << "void " << msg_recv_symbol(m) << "(void)\n"
+       << "void msg_recv_" << ident << "(void)\n"
        << "{\n"
        << "  /* EZRT_PORT_TODO: dequeue '" << m.name
        << "' delivered over bus '" << m.bus << "'. */\n"
        << "}\n";
   }
-  return os.str();
+  return os.take();
 }
 
 }  // namespace
@@ -387,30 +419,38 @@ Result<GeneratedCode> generate(const Specification& spec,
     return make_error(ErrorCode::kInvalidArgument,
                       "cannot generate code from an empty schedule table");
   }
-  // Distinct tasks must map to distinct C symbols.
-  std::set<std::string> symbols;
+  Context ctx{spec, {}};
+  ctx.idents.reserve(spec.task_count());
   for (TaskId id : spec.task_ids()) {
-    if (!symbols.insert(task_symbol(spec.task(id))).second) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "task names '" + spec.task(id).name +
-                            "' collide after C-identifier sanitizing");
-    }
+    ctx.idents.push_back(sanitize_c_identifier(spec.task(id).name));
+  }
+  // Distinct tasks must map to distinct C symbols.
+  if (const TaskId clash = first_colliding_task(ctx.idents); clash.valid()) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "task names '" + spec.task(clash).name +
+                          "' collide after C-identifier sanitizing");
   }
 
   GeneratedCode code;
   if (spec.processor_count() > 1) {
     // Multi-processor synthesis: one dispatcher image per core, each
     // walking its own table, plus stubs for the bus-scheduled messages.
-    code.files.push_back(GeneratedFile{"schedule.h",
-                                       emit_header_multi(spec, table)});
+    std::vector<std::vector<sched::ScheduleItem>> per_core(
+        spec.processor_count());
+    for (const sched::ScheduleItem& item : table.items) {
+      if (item.processor.value() < per_core.size()) {
+        per_core[item.processor.value()].push_back(item);
+      }
+    }
     code.files.push_back(
-        GeneratedFile{"tasks.c", emit_tasks(spec, options)});
+        GeneratedFile{"schedule.h", emit_header_multi(ctx, table, per_core)});
+    code.files.push_back(GeneratedFile{"tasks.c", emit_tasks(ctx, options)});
     if (spec.message_count() > 0) {
       code.files.push_back(
           GeneratedFile{"messages.c", emit_messages(spec, table)});
     }
     for (ProcessorId pid : spec.processor_ids()) {
-      const std::vector<sched::ScheduleItem> items = table.items_for(pid);
+      const std::vector<sched::ScheduleItem>& items = per_core[pid.value()];
       if (items.empty()) {
         continue;  // no work pinned to this core, no image to build
       }
@@ -420,19 +460,11 @@ Result<GeneratedCode> generate(const Specification& spec,
       const std::string note = " * Processor " + core + ": '" +
                                spec.processor(pid).name +
                                "' — build one image per core.\n";
-      const std::string file = "dispatcher_p" + core + ".c";
-      switch (options.target) {
-        case Target::kBareMetal:
-          code.files.push_back(GeneratedFile{
-              file, emit_baremetal_core(spec, items, sym, size_macro,
-                                        note)});
-          break;
-        case Target::kHostSim:
-          code.files.push_back(GeneratedFile{
-              file,
-              emit_hostsim_core(spec, items, sym, size_macro, note)});
-          break;
-      }
+      code.files.push_back(GeneratedFile{
+          "dispatcher_p" + core + ".c",
+          options.target == Target::kBareMetal
+              ? emit_baremetal_core(ctx, items, sym, size_macro, note)
+              : emit_hostsim_core(ctx, items, sym, size_macro, note)});
     }
     if (options.target == Target::kBareMetal) {
       code.files.push_back(GeneratedFile{
@@ -440,19 +472,22 @@ Result<GeneratedCode> generate(const Specification& spec,
     }
     return code;
   }
-  code.files.push_back(GeneratedFile{"schedule.h",
-                                     emit_header(spec, table)});
-  code.files.push_back(GeneratedFile{"tasks.c", emit_tasks(spec, options)});
+  code.files.push_back(GeneratedFile{"schedule.h", emit_header(ctx, table)});
+  code.files.push_back(GeneratedFile{"tasks.c", emit_tasks(ctx, options)});
   switch (options.target) {
     case Target::kBareMetal:
       code.files.push_back(GeneratedFile{
-          "dispatcher.c", emit_baremetal_dispatcher(spec, table)});
+          "dispatcher.c", emit_baremetal_core(ctx, table.items,
+                                              "scheduleTable",
+                                              "SCHEDULE_SIZE", "")});
       code.files.push_back(GeneratedFile{
           "port.h", generate_port_header(options.mcu, options.timer_hz)});
       break;
     case Target::kHostSim:
       code.files.push_back(GeneratedFile{
-          "dispatcher.c", emit_hostsim_dispatcher(spec, table)});
+          "dispatcher.c", emit_hostsim_core(ctx, table.items,
+                                            "scheduleTable", "SCHEDULE_SIZE",
+                                            "")});
       break;
   }
   return code;

@@ -1,12 +1,12 @@
 #include "codegen/ports.hpp"
 
-#include <sstream>
+#include "base/strings.hpp"
 
 namespace ezrt::codegen {
 
 namespace {
 
-void emit_prologue(std::ostream& os, McuFamily family,
+void emit_prologue(TextBuilder& os, McuFamily family,
                    std::uint64_t timer_hz) {
   os << "/* port.h — " << to_string(family)
      << " port layer for the ezRealtime dispatcher.\n"
@@ -19,9 +19,9 @@ void emit_prologue(std::ostream& os, McuFamily family,
      << "#define EZRT_TICK_HZ " << timer_hz << "ul\n\n";
 }
 
-void emit_epilogue(std::ostream& os) { os << "#endif /* EZRT_PORT_H */\n"; }
+void emit_epilogue(TextBuilder& os) { os << "#endif /* EZRT_PORT_H */\n"; }
 
-void emit_generic(std::ostream& os) {
+void emit_generic(TextBuilder& os) {
   os << "/* Generic do-nothing port: compiles on any toolchain so the\n"
      << " * dispatcher's control flow can be inspected or unit-tested\n"
      << " * off-target. */\n"
@@ -33,7 +33,7 @@ void emit_generic(std::ostream& os) {
      << "#define IDLE()                do { } while (0)\n\n";
 }
 
-void emit_8051(std::ostream& os) {
+void emit_8051(TextBuilder& os) {
   os << "/* MCS-51 port (SDCC dialect). Timer 0 in 16-bit mode drives the\n"
      << " * dispatcher; context lives on the hardware stack. */\n"
      << "#include <8051.h>\n\n"
@@ -75,7 +75,7 @@ void emit_8051(std::ostream& os) {
      << "#define IDLE() do { PCON |= 0x01; } while (0) /* idle mode */\n\n";
 }
 
-void emit_arm9(std::ostream& os) {
+void emit_arm9(TextBuilder& os) {
   os << "/* ARM9 (ARMv5) port. A memory-mapped down-counter raises the\n"
      << " * timer IRQ; context is the ARM register file, saved by the IRQ\n"
      << " * entry veneer into a per-task frame. */\n"
@@ -107,7 +107,7 @@ void emit_arm9(std::ostream& os) {
         "\"r\"(0)) /* wait for interrupt */\n\n";
 }
 
-void emit_m68k(std::ostream& os) {
+void emit_m68k(TextBuilder& os) {
   os << "/* M68K port. The dispatcher runs from a timer auto-vector;\n"
      << " * MOVEM saves the register file into a per-task frame. */\n"
      << "#define TIMER_ISR __attribute__((interrupt_handler))\n\n"
@@ -129,7 +129,7 @@ void emit_m68k(std::ostream& os) {
      << "#define IDLE() __asm__ volatile(\"stop #0x2000\")\n\n";
 }
 
-void emit_x86(std::ostream& os) {
+void emit_x86(TextBuilder& os) {
   os << "/* x86 port: the 8254 PIT channel 0 drives IRQ0; context is the\n"
      << " * general register file (a bare-metal single-address-space\n"
      << " * deployment; no paging assumed). */\n"
@@ -190,7 +190,7 @@ Result<McuFamily> mcu_family_from_string(std::string_view s) {
 }
 
 std::string generate_port_header(McuFamily family, std::uint64_t timer_hz) {
-  std::ostringstream os;
+  TextBuilder os(2560);
   emit_prologue(os, family, timer_hz);
   switch (family) {
     case McuFamily::kGeneric:
@@ -210,7 +210,7 @@ std::string generate_port_header(McuFamily family, std::uint64_t timer_hz) {
       break;
   }
   emit_epilogue(os);
-  return os.str();
+  return os.take();
 }
 
 }  // namespace ezrt::codegen

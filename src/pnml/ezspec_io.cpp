@@ -1,5 +1,6 @@
 #include "pnml/ezspec_io.hpp"
 
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -172,12 +173,12 @@ Result<Specification> read_ezspec(std::string_view document) {
   Specification s(std::string(root.attribute("name").value_or("untitled")));
   s.set_dispatcher_overhead(root.attribute("dispOveh") == "true");
   if (auto budget = root.attribute("syncBudget")) {
-    auto parsed_budget = parse_uint(*budget);
+    auto parsed_budget = parse_uint32(*budget);
     if (!parsed_budget.ok()) {
       return make_error(ErrorCode::kParseError,
-                        "syncBudget is not a non-negative integer");
+                        "syncBudget is not a non-negative 32-bit integer");
     }
-    s.set_sync_budget(static_cast<std::uint32_t>(parsed_budget.value()));
+    s.set_sync_budget(parsed_budget.value());
   }
 
   // Identifier -> id value, keyed by views of the DOM's attribute values.
@@ -235,6 +236,11 @@ Result<Specification> read_ezspec(std::string_view document) {
       t.timing.deadline = deadline.value();
       t.timing.phase = phase.value();
       t.timing.release = release.value();
+      if (power.value() > std::numeric_limits<std::uint32_t>::max()) {
+        return make_error(ErrorCode::kParseError,
+                          "task '" + t.name +
+                              "': power is not a non-negative 32-bit integer");
+      }
       t.energy = static_cast<std::uint32_t>(power.value());
 
       const std::string_view mode =

@@ -173,11 +173,11 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
       tpn::Place place;
       place.name = child->label_text("name").value_or(id.value());
       if (auto marking = child->label_text("initialMarking")) {
-        auto tokens = parse_uint(*marking);
+        auto tokens = parse_uint32(*marking);
         if (!tokens.ok()) {
           return tokens.error();
         }
-        place.initial_tokens = static_cast<std::uint32_t>(tokens.value());
+        place.initial_tokens = tokens.value();
       }
       if (const xml::Element* tool = find_toolspecific(*child)) {
         if (auto role = tool->label_text("role")) {
@@ -190,14 +190,19 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
           }
         }
         if (auto task = tool->label_text("task")) {
-          auto value = parse_uint(*task);
+          auto value = parse_uint32(*task);
           if (!value.ok()) {
             return value.error();
           }
-          place.task = TaskId(static_cast<std::uint32_t>(value.value()));
+          place.task = TaskId(value.value());
         }
       }
-      place_ids[id.value()] = net.add_place(std::move(place));
+      const auto [slot, fresh] = place_ids.try_emplace(id.value());
+      if (!fresh) {
+        return make_error(ErrorCode::kParseError,
+                          "duplicate place id '" + id.value() + "'");
+      }
+      slot->second = net.add_place(std::move(place));
     } else if (child->name() == "transition") {
       auto id = child->require_attribute("id");
       if (!id.ok()) {
@@ -235,11 +240,11 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
           t.interval = TimeInterval(eft.value(), lft);
         }
         if (auto priority = tool->label_text("priority")) {
-          auto value = parse_uint(*priority);
+          auto value = parse_uint32(*priority);
           if (!value.ok()) {
             return value.error();
           }
-          t.priority = static_cast<tpn::Priority>(value.value());
+          t.priority = value.value();
         }
         if (auto role = tool->label_text("role")) {
           if (auto parsed_role = transition_role_from(*role)) {
@@ -251,21 +256,26 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
           }
         }
         if (auto task = tool->label_text("task")) {
-          auto value = parse_uint(*task);
+          auto value = parse_uint32(*task);
           if (!value.ok()) {
             return value.error();
           }
-          t.task = TaskId(static_cast<std::uint32_t>(value.value()));
+          t.task = TaskId(value.value());
         }
         if (auto code = tool->label_text("code")) {
-          auto value = parse_uint(*code);
+          auto value = parse_uint32(*code);
           if (!value.ok()) {
             return value.error();
           }
-          t.code = static_cast<std::uint32_t>(value.value());
+          t.code = value.value();
         }
       }
-      transition_ids[id.value()] = net.add_transition(std::move(t));
+      const auto [slot, fresh] = transition_ids.try_emplace(id.value());
+      if (!fresh) {
+        return make_error(ErrorCode::kParseError,
+                          "duplicate transition id '" + id.value() + "'");
+      }
+      slot->second = net.add_transition(std::move(t));
     }
   }
 
@@ -284,11 +294,11 @@ Result<TimePetriNet> read_pnml(std::string_view document) {
     }
     std::uint32_t weight = 1;
     if (auto inscription = child->label_text("inscription")) {
-      auto value = parse_uint(*inscription);
+      auto value = parse_uint32(*inscription);
       if (!value.ok()) {
         return value.error();
       }
-      weight = static_cast<std::uint32_t>(value.value());
+      weight = value.value();
     }
     const bool place_to_transition = place_ids.contains(source.value());
     if (place_to_transition) {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
+
+#include "base/strings.hpp"
 
 namespace ezrt::sched {
 
@@ -14,6 +15,48 @@ struct TaskCursor {
   std::optional<ScheduleItem> open;  ///< growing segment, not yet emitted
   bool instance_had_segment = false;  ///< current instance already ran once
 };
+
+/// What a firing of one transition means to the table, derived from the
+/// transition's role and arcs on its first firing of a call (`message`
+/// comes from the builder's handles up front).
+struct Effect {
+  /// Synchronization resources taken (+) or given back (-): the weights of
+  /// its arcs from and to bus and exclusion-lock places, which covers every
+  /// block style without role special cases.
+  std::int64_t sync_delta = 0;
+  std::int32_t message = -1;  ///< transfer it grants or completes, if any
+  TaskId task;                ///< owning task (invalid: fork/join)
+  bool releases = false;      ///< releases an instance of `task`
+  bool starts = false;        ///< acquires the processor for `task`
+  bool derived = false;  ///< sync_delta, task, releases and starts are set
+};
+
+void derive(const builder::BuiltModel& model, TransitionId id,
+            Effect& effect) {
+  const tpn::TimePetriNet& net = model.net;
+  const auto is_resource = [&](const tpn::Arc& arc) {
+    const tpn::PlaceRole role = net.place(arc.place).role;
+    return role == tpn::PlaceRole::kBus ||
+           role == tpn::PlaceRole::kExclusionLock;
+  };
+  for (const tpn::Arc& arc : net.inputs(id)) {
+    effect.sync_delta += is_resource(arc) ? arc.weight : 0;
+  }
+  for (const tpn::Arc& arc : net.outputs(id)) {
+    effect.sync_delta -= is_resource(arc) ? arc.weight : 0;
+  }
+  const tpn::Transition& t = net.transition(id);
+  if (t.task.valid()) {
+    // Which firing acquires the processor depends on the task's structure:
+    // the grant stage when it exists, otherwise the fused release.
+    const bool compact_style = !model.task_net(t.task).grant.valid();
+    effect.task = t.task;
+    effect.releases = t.role == tpn::TransitionRole::kRelease;
+    effect.starts = t.role == tpn::TransitionRole::kGrant ||
+                    (compact_style && effect.releases);
+  }
+  effect.derived = true;
+}
 
 }  // namespace
 
@@ -36,40 +79,17 @@ Result<ScheduleTable> extract_schedule(const spec::Specification& spec,
   table.sync_budget = model.sync_budget;
 
   std::vector<TaskCursor> cursors(spec.task_count());
-
-  // Bus timeline + sync high-water bookkeeping. Communication transitions
-  // map back to their message through the builder's handles; the held
-  // counter tracks bus and exclusion-lock tokens by scanning each fired
-  // transition's arcs for resource places (acquire = consume, release =
-  // produce), which covers every block style without role special cases.
-  std::vector<std::int32_t> msg_of_transition(model.net.transition_count(),
-                                              -1);
+  std::vector<Effect> effects(model.net.transition_count());
   for (std::size_t m = 0; m < model.message_nets.size(); ++m) {
-    msg_of_transition[model.message_nets[m].acquire.value()] =
+    effects[model.message_nets[m].acquire.value()].message =
         static_cast<std::int32_t>(m);
-    msg_of_transition[model.message_nets[m].release.value()] =
+    effects[model.message_nets[m].release.value()].message =
         static_cast<std::int32_t>(m);
   }
+  // Bus timeline + sync high-water bookkeeping: the held counter tracks
+  // bus and exclusion-lock tokens.
   std::vector<std::optional<Time>> open_transfer(model.message_nets.size());
   std::int64_t sync_held = 0;
-  auto sync_delta = [&](TransitionId t) {
-    std::int64_t delta = 0;
-    for (const tpn::Arc& arc : model.net.inputs(t)) {
-      const tpn::PlaceRole role = model.net.place(arc.place).role;
-      if (role == tpn::PlaceRole::kBus ||
-          role == tpn::PlaceRole::kExclusionLock) {
-        delta += arc.weight;
-      }
-    }
-    for (const tpn::Arc& arc : model.net.outputs(t)) {
-      const tpn::PlaceRole role = model.net.place(arc.place).role;
-      if (role == tpn::PlaceRole::kBus ||
-          role == tpn::PlaceRole::kExclusionLock) {
-        delta -= arc.weight;
-      }
-    }
-    return delta;
-  };
 
   auto close_segment = [&](TaskCursor& cursor) {
     if (cursor.open.has_value()) {
@@ -79,15 +99,17 @@ Result<ScheduleTable> extract_schedule(const spec::Specification& spec,
   };
 
   for (const FiringEvent& event : trace) {
-    const tpn::Transition& t = model.net.transition(event.transition);
-    sync_held += sync_delta(event.transition);
+    Effect& effect = effects[event.transition.value()];
+    if (!effect.derived) {
+      derive(model, event.transition, effect);
+    }
+    sync_held += effect.sync_delta;
     if (sync_held > 0) {
       table.sync_high_water = std::max(
           table.sync_high_water, static_cast<std::uint32_t>(sync_held));
     }
-    if (const std::int32_t mi = msg_of_transition[event.transition.value()];
-        mi >= 0) {
-      const auto m = static_cast<std::size_t>(mi);
+    if (effect.message >= 0) {
+      const auto m = static_cast<std::size_t>(effect.message);
       if (event.transition == model.message_nets[m].acquire) {
         open_transfer[m] = event.at;
       } else if (open_transfer[m].has_value()) {
@@ -103,37 +125,30 @@ Result<ScheduleTable> extract_schedule(const spec::Specification& spec,
         open_transfer[m].reset();
       }
     }
-    if (!t.task.valid()) {
-      continue;  // fork/join infrastructure
+    if (!effect.releases && !effect.starts) {
+      continue;  // fork/join infrastructure or a stage past the start
     }
-    const spec::Task& task = spec.task(t.task);
-    TaskCursor& cursor = cursors[t.task.value()];
-    const bool preemptive =
-        task.scheduling == spec::SchedulingType::kPreemptive;
-
-    // Which firing acquires the processor depends on the task's structure:
-    // the grant stage when it exists, otherwise the fused release.
-    const bool compact_style = !model.task_net(t.task).grant.valid();
-    const bool starts_execution =
-        (t.role == tpn::TransitionRole::kGrant) ||
-        (compact_style && t.role == tpn::TransitionRole::kRelease);
-
-    if (t.role == tpn::TransitionRole::kRelease) {
+    TaskCursor& cursor = cursors[effect.task.value()];
+    if (effect.releases) {
       ++cursor.releases;
       cursor.instance_had_segment = false;
     }
-    if (!starts_execution) {
+    if (!effect.starts) {
       continue;
     }
+    const spec::Task& task = spec.task(effect.task);
     if (cursor.releases == 0) {
       return make_error(ErrorCode::kInternal,
-                        "trace fires '" + t.name +
+                        "trace fires '" +
+                            model.net.transition(event.transition).name +
                             "' before any release of task '" + task.name +
                             "'");
     }
 
     const std::uint32_t instance = cursor.releases - 1;
-    const Time chunk = preemptive ? 1 : task.timing.computation;
+    const Time chunk = task.scheduling == spec::SchedulingType::kPreemptive
+                           ? 1
+                           : task.timing.computation;
 
     if (cursor.open.has_value() && cursor.open->instance == instance &&
         cursor.open->start + cursor.open->duration == event.at) {
@@ -145,7 +160,7 @@ Result<ScheduleTable> extract_schedule(const spec::Specification& spec,
     close_segment(cursor);
     ScheduleItem item;
     item.start = event.at;
-    item.task = t.task;
+    item.task = effect.task;
     item.instance = instance;
     item.duration = chunk;
     item.processor = task.processor;
@@ -176,10 +191,8 @@ Result<ScheduleTable> extract_schedule(const spec::Specification& spec,
 
 namespace {
 
-void append_table(std::ostringstream& os,
-                  const std::vector<ScheduleItem>& items,
-                  const std::string& symbol,
-                  const spec::Specification& spec) {
+void append_table(TextBuilder& os, const std::vector<ScheduleItem>& items,
+                  std::string_view symbol, const spec::Specification& spec) {
   os << "struct ScheduleItem " << symbol << "[" << items.size()
      << "] = {\n";
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -199,10 +212,10 @@ void append_table(std::ostringstream& os,
 
 std::string to_string(const ScheduleTable& table,
                       const spec::Specification& spec) {
-  std::ostringstream os;
+  TextBuilder os(256 + 96 * table.items.size());
   if (table.processor_count <= 1) {
     append_table(os, table.items, "scheduleTable", spec);
-    return os.str();
+    return os.take();
   }
   // Multi-processor tables print one dispatch table per core plus the bus
   // timeline — the same shape codegen emits (docs/multiprocessor.md).
@@ -234,7 +247,7 @@ std::string to_string(const ScheduleTable& table,
     os << "/* sync pool: high-water " << table.sync_high_water << " of K="
        << table.sync_budget << " */\n";
   }
-  return os.str();
+  return os.take();
 }
 
 }  // namespace ezrt::sched

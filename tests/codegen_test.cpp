@@ -163,6 +163,31 @@ TEST(Codegen, RejectsCollidingSymbols) {
   EXPECT_FALSE(generate(s, t).ok());
 }
 
+TEST(Codegen, CollisionNamesTheFirstCollidingTaskInIdOrder) {
+  // Two colliding pairs, (p q, p_q) and (m-n, m_n): the scan in id order
+  // meets m_n (id 2) before p_q (id 3). A leading digit gains a 't'.
+  const auto collision = [](std::initializer_list<const char*> names) {
+    Specification s("collide");
+    s.add_processor("cpu");
+    for (const char* name : names) {
+      s.add_task(name, TimingConstraints{0, 0, 1, 50, 50});
+    }
+    EXPECT_TRUE(s.validate().ok());
+    ScheduleTable t;
+    t.schedule_period = 50;
+    t.items.push_back(sched::ScheduleItem{0, false, TaskId(0), 0, 1, {}});
+    auto code = generate(s, t);
+    return code.ok() ? std::string() : code.error().message();
+  };
+  EXPECT_EQ(collision({"p q", "m-n", "m_n", "p_q"}),
+            "task names 'm_n' collide after C-identifier sanitizing");
+  EXPECT_EQ(collision({"t1x", "x", "1x"}),
+            "task names '1x' collide after C-identifier sanitizing");
+  EXPECT_EQ(collision({"a-b", "a_b", "a.b"}),
+            "task names 'a_b' collide after C-identifier sanitizing");
+  EXPECT_EQ(collision({"a", "b", "c"}), "");
+}
+
 TEST(Codegen, TargetNames) {
   EXPECT_STREQ(to_string(Target::kBareMetal), "bare-metal");
   EXPECT_STREQ(to_string(Target::kHostSim), "host-sim");

@@ -118,6 +118,99 @@ TEST(FrontEndGolden, PnmlAndGeneratedCodeBytes) {
   EXPECT_EQ(checked, std::size(kGolden));
 }
 
+// Codegen variants the host-sim bundle above does not reach: the bare-metal
+// backend with two port families (the UAV set is the 2-core set with
+// messages), user code spliced and suppressed, and the dispOveh macro. Each
+// entry pins one file a variant changes; `model` is "<example>/<variant>".
+constexpr Golden kVariantGolden[] = {
+    {"harmonic_u40/generic", "dispatcher.c", 1844u, 0xe80609a1b94ac6c4ull},
+    {"harmonic_u40/generic", "port.h", 733u, 0x4828fc2eba8d15ceull},
+    {"harmonic_u40/8051", "dispatcher.c", 1844u, 0xe80609a1b94ac6c4ull},
+    {"harmonic_u40/8051", "port.h", 2329u, 0x1d78efc6e29687c3ull},
+    {"mine_pump/generic", "dispatcher.c", 39421u, 0x81fe0d8fb108aca2ull},
+    {"mine_pump/generic", "port.h", 733u, 0x4828fc2eba8d15ceull},
+    {"mine_pump/8051", "dispatcher.c", 39421u, 0x81fe0d8fb108aca2ull},
+    {"mine_pump/8051", "port.h", 2329u, 0x1d78efc6e29687c3ull},
+    {"uav_dual_processor/generic", "dispatcher_p0.c",
+     1900u, 0x2a2ee621d6f137e2ull},
+    {"uav_dual_processor/generic", "dispatcher_p1.c",
+     2094u, 0x27b0111a7c748d2dull},
+    {"uav_dual_processor/generic", "messages.c", 680u, 0x29bd96fbcf1332b2ull},
+    {"uav_dual_processor/generic", "port.h", 733u, 0x4828fc2eba8d15ceull},
+    {"uav_dual_processor/8051", "dispatcher_p0.c",
+     1900u, 0x2a2ee621d6f137e2ull},
+    {"uav_dual_processor/8051", "dispatcher_p1.c",
+     2094u, 0x27b0111a7c748d2dull},
+    {"uav_dual_processor/8051", "messages.c", 680u, 0x29bd96fbcf1332b2ull},
+    {"uav_dual_processor/8051", "port.h", 2329u, 0x1d78efc6e29687c3ull},
+    {"mine_pump/user-code", "tasks.c", 1399u, 0x1f72f97a4e372771ull},
+    {"mine_pump/no-user-code", "tasks.c", 1401u, 0xc15e309517cc09e4ull},
+    {"harmonic_u40/dispOveh", "dispatcher.c", 1987u, 0x11cdb7910a2c3c4eull},
+};
+
+TEST(FrontEndGolden, CodegenVariantBytes) {
+  std::size_t checked = 0;
+  const auto expect_pinned = [&](const std::string& label,
+                                 const codegen::GeneratedCode& code) {
+    for (const Golden& g : kVariantGolden) {
+      if (label != g.model) {
+        continue;
+      }
+      const codegen::GeneratedFile* file = code.find(g.file);
+      ASSERT_NE(file, nullptr) << label << ": no " << g.file;
+      EXPECT_EQ(file->content.size(), g.size) << label << "/" << g.file;
+      EXPECT_EQ(fnv1a(file->content), g.fnv) << label << "/" << g.file;
+      ++checked;
+    }
+  };
+  const auto generate = [](core::Project& project,
+                           const codegen::CodegenOptions& options) {
+    auto code = project.generate_code(options);
+    EXPECT_TRUE(code.ok()) << code.error().to_string();
+    return code.ok() ? std::move(code).value() : codegen::GeneratedCode{};
+  };
+
+  codegen::CodegenOptions bare;
+  bare.target = codegen::Target::kBareMetal;
+  for (const char* model : kExamples) {
+    core::Project project(example_spec(model));
+    if (std::string_view(model) == "uav_dual_processor") {
+      project.scheduler_options().pruning = sched::PruningMode::kNone;
+    }
+    for (const codegen::McuFamily mcu :
+         {codegen::McuFamily::kGeneric, codegen::McuFamily::k8051}) {
+      bare.mcu = mcu;
+      expect_pinned(std::string(model) + "/" + codegen::to_string(mcu),
+                    generate(project, bare));
+    }
+  }
+
+  // Code on every other task: multi-line, with an empty line and a
+  // trailing newline; the odd tasks get the "not specified" stub.
+  spec::Specification coded = example_spec("mine_pump");
+  for (TaskId id : coded.task_ids()) {
+    if (id.value() % 2 == 0) {
+      coded.set_task_code(id, "read_" + std::to_string(id.value()) +
+                                  "();\n\nif (level > 3) {\n  pump_on();\n}\n");
+    }
+  }
+  core::Project coded_project(coded);
+  codegen::CodegenOptions host;
+  expect_pinned("mine_pump/user-code", generate(coded_project, host));
+  host.include_user_code = false;
+  expect_pinned("mine_pump/no-user-code", generate(coded_project, host));
+
+  std::string doc = example_document("harmonic_u40");
+  const std::size_t flag = doc.find("dispOveh=\"false\"");
+  ASSERT_NE(flag, std::string::npos);
+  doc.replace(flag, 16, "dispOveh=\"true\"");
+  core::Project overhead(pnml::read_ezspec(doc).value());
+  bare.mcu = codegen::McuFamily::kGeneric;
+  expect_pinned("harmonic_u40/dispOveh", generate(overhead, bare));
+
+  EXPECT_EQ(checked, std::size(kVariantGolden));
+}
+
 // -- Net indices against a dense oracle --------------------------------------
 
 /// Recomputes consumers, affected sets and conflict-free bits from the arc

@@ -139,6 +139,76 @@ TEST(Pnml, RejectsInvertedInterval) {
   EXPECT_FALSE(read_pnml(doc).ok());
 }
 
+/// The mine-pump net's PNML with `extra` appended to its page.
+[[nodiscard]] std::string mine_pump_pnml_with(const std::string& extra) {
+  std::string doc = write_pnml(
+      builder::build_tpn(workload::mine_pump_specification()).value().net);
+  const std::size_t page_end = doc.find("</page>");
+  EXPECT_NE(page_end, std::string::npos);
+  return doc.insert(page_end, extra);
+}
+
+TEST(Pnml, RejectsDuplicatePlaceId) {
+  // The later <place> used to replace the first under its id: every arc
+  // naming p0 went to the new place and the original was left unconnected.
+  auto net = read_pnml(mine_pump_pnml_with("<place id=\"p0\"/>"));
+  ASSERT_FALSE(net.ok());
+  EXPECT_EQ(net.error().message(), "duplicate place id 'p0'");
+}
+
+TEST(Pnml, RejectsDuplicateTransitionId) {
+  auto net = read_pnml(mine_pump_pnml_with("<transition id=\"t3\"/>"));
+  ASSERT_FALSE(net.ok());
+  EXPECT_EQ(net.error().message(), "duplicate transition id 't3'");
+}
+
+TEST(Pnml, InitialMarkingMustFitThirtyTwoBits) {
+  const auto doc = [](const std::string& tokens) {
+    return "<pnml><net id=\"n\"><page id=\"pg\">"
+           "<place id=\"p0\"><initialMarking><text>" +
+           tokens +
+           "</text></initialMarking></place>"
+           "<transition id=\"t0\"/>"
+           "<arc id=\"a0\" source=\"p0\" target=\"t0\"/>"
+           "</page></net></pnml>";
+  };
+  auto net = read_pnml(doc("4294967295"));
+  ASSERT_TRUE(net.ok()) << net.error().to_string();
+  EXPECT_EQ(net.value().place(PlaceId(0)).initial_tokens, 4294967295u);
+  auto wide = read_pnml(doc("4294967296"));
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.error().message(),
+            "not a non-negative 32-bit integer: '4294967296'");
+}
+
+TEST(Pnml, EveryThirtyTwoBitLabelIsRangeChecked) {
+  // Task, code, priority and arc weight are 32-bit fields as well.
+  const char* const tool = "<toolspecific tool=\"ezRealtime\" version=\"1.0\">";
+  const std::string labels[] = {
+      std::string("<place id=\"p1\">") + tool +
+          "<task>4294967296</task></toolspecific></place>",
+      std::string("<transition id=\"t1\">") + tool +
+          "<task>4294967296</task></toolspecific></transition>",
+      std::string("<transition id=\"t1\">") + tool +
+          "<code>4294967296</code></toolspecific></transition>",
+      std::string("<transition id=\"t1\">") + tool +
+          "<priority>4294967296</priority></toolspecific></transition>",
+      "<arc id=\"a1\" source=\"p0\" target=\"t0\"><inscription><text>"
+      "4294967296</text></inscription></arc>",
+  };
+  for (const std::string& label : labels) {
+    const std::string doc =
+        "<pnml><net id=\"n\"><page id=\"pg\"><place id=\"p0\"/>"
+        "<transition id=\"t0\"/>" +
+        label + "</page></net></pnml>";
+    auto net = read_pnml(doc);
+    ASSERT_FALSE(net.ok()) << label;
+    EXPECT_EQ(net.error().message(),
+              "not a non-negative 32-bit integer: '4294967296'")
+        << label;
+  }
+}
+
 TEST(Pnml, ForeignToolSpecificIgnored) {
   const std::string doc =
       "<pnml><net id=\"n\"><page id=\"pg\">"
@@ -392,6 +462,40 @@ TEST(EzSpec, RejectsDuplicateMessageIdentifier) {
       "<Message identifier=\"m\" precedes=\"#b\"><name>M2</name></Message>"
       "</rt:ez-spec>";
   EXPECT_EQ(read_error(doc), "duplicate message identifier 'm'");
+}
+
+TEST(EzSpec, SyncBudgetMustFitThirtyTwoBits) {
+  const auto doc = [](const std::string& budget) {
+    return "<rt:ez-spec xmlns:rt=\"http://pnmp.sf.net/EZRealtime\" "
+           "name=\"x\" syncBudget=\"" +
+           budget + "\"><Processor identifier=\"p\"><name>cpu</name>"
+           "</Processor>" + task_xml("a", "A") + "</rt:ez-spec>";
+  };
+  auto s = read_ezspec(doc("4294967295"));
+  ASSERT_TRUE(s.ok()) << s.error().to_string();
+  EXPECT_EQ(s.value().sync_budget(), 4294967295u);
+  // 2^32 + 1 used to read as a budget of 1.
+  EXPECT_EQ(read_error(doc("4294967296")),
+            "syncBudget is not a non-negative 32-bit integer");
+  EXPECT_EQ(read_error(doc("4294967297")),
+            "syncBudget is not a non-negative 32-bit integer");
+}
+
+TEST(EzSpec, PowerMustFitThirtyTwoBits) {
+  const auto doc = [](const std::string& power) {
+    return std::string(kHead) +
+           "<Processor identifier=\"p\"><name>cpu</name></Processor>"
+           "<Task identifier=\"a\"><name>A</name><period>10</period>"
+           "<power>" +
+           power +
+           "</power><computing>1</computing><deadline>10</deadline></Task>"
+           "</rt:ez-spec>";
+  };
+  auto s = read_ezspec(doc("4294967295"));
+  ASSERT_TRUE(s.ok()) << s.error().to_string();
+  EXPECT_EQ(s.value().task(TaskId(0)).energy, 4294967295u);
+  EXPECT_EQ(read_error(doc("4294967296")),
+            "task 'A': power is not a non-negative 32-bit integer");
 }
 
 TEST(EzSpec, RejectsRepeatedAttribute) {

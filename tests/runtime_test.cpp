@@ -193,6 +193,312 @@ TEST(Validator, ZeroDurationSegmentFlagged) {
   EXPECT_FALSE(validate_schedule(s, t).ok());
 }
 
+// -- Validator messages: exact text and order, one table per check ----------
+
+using Messages = std::vector<std::string>;
+
+[[nodiscard]] ScheduleItem row(Time start, bool preempted, TaskId task,
+                               std::uint32_t instance, Time duration,
+                               ProcessorId proc = {}) {
+  return ScheduleItem{start, preempted, task, instance, duration, proc};
+}
+
+/// S on cpu0 sends "m" and "m2" to R on cpu1, both over bus "can".
+[[nodiscard]] Specification messaging() {
+  Specification s("msg");
+  s.add_processor("cpu0");
+  const ProcessorId cpu1 = s.add_processor("cpu1");
+  const TaskId sender = s.add_task("S", TimingConstraints{0, 0, 2, 20, 20});
+  spec::Task r;
+  r.name = "R";
+  r.timing = TimingConstraints{0, 0, 1, 20, 20};
+  r.processor = cpu1;
+  const TaskId receiver = s.add_task(std::move(r));
+  for (const char* name : {"m", "m2"}) {
+    spec::Message m;
+    m.name = name;
+    m.bus = "can";
+    m.communication = 2;
+    s.connect_message(sender, s.add_message(std::move(m)), receiver);
+  }
+  EXPECT_TRUE(s.validate().ok());
+  return s;
+}
+
+/// S @0..2 on cpu0, R @6..7 on cpu1; the bus timeline is the caller's.
+[[nodiscard]] ScheduleTable messaging_table() {
+  ScheduleTable t;
+  t.schedule_period = 20;
+  t.processor_count = 2;
+  t.items.push_back(row(0, false, TaskId(0), 0, 2, ProcessorId(0)));
+  t.items.push_back(row(6, false, TaskId(1), 0, 1, ProcessorId(1)));
+  return t;
+}
+
+[[nodiscard]] sched::BusSegment transfer(Time start, Time duration,
+                                         MessageId message) {
+  return sched::BusSegment{start, duration, message, ProcessorId(0),
+                           ProcessorId(1)};
+}
+
+TEST(Validator, MessageUnknownTask) {
+  ScheduleTable t = good_table();
+  t.items.push_back(row(6, false, TaskId(7), 0, 1));
+  t.items.push_back(row(7, false, TaskId{}, 0, 1));
+  const ValidationReport report = validate_schedule(two_tasks(), t);
+  EXPECT_EQ(report.violations,
+            (Messages{"segment references an unknown task",
+                      "segment references an unknown task"}));
+  EXPECT_EQ(report.segments_checked, 4u);
+  EXPECT_EQ(report.instances_checked, 2u);
+}
+
+TEST(Validator, MessageZeroLengthSegment) {
+  ScheduleTable t = good_table();
+  t.items.push_back(row(6, false, TaskId(0), 1, 0));
+  EXPECT_EQ(validate_schedule(two_tasks(), t).violations,
+            (Messages{"task 'A' has a zero-length segment at t=6",
+                      "A#2: executes 0 units, WCET is 2",
+                      "A#2: starts at 6, release is 10"}));
+}
+
+TEST(Validator, MessageInstancePastCount) {
+  ScheduleTable t = good_table();
+  t.items.push_back(row(5, false, TaskId(0), 2, 2));
+  const ValidationReport report = validate_schedule(two_tasks(), t);
+  EXPECT_EQ(report.violations, (Messages{"A#3: starts at 5, release is 20"}));
+  EXPECT_EQ(report.instances_checked, 3u);
+}
+
+TEST(Validator, MessagePeriodNotDividingSchedulePeriod) {
+  ScheduleTable t = good_table();
+  t.schedule_period = 15;
+  EXPECT_EQ(validate_schedule(two_tasks(), t).violations,
+            (Messages{"schedule period 15 is not a multiple of task 'A' period",
+                      "schedule period 15 is not a multiple of task 'B' "
+                      "period"}));
+  t.schedule_period = 0;
+  EXPECT_EQ(validate_schedule(two_tasks(), t).violations,
+            (Messages{"schedule period 0 is not a multiple of task 'A' period",
+                      "schedule period 0 is not a multiple of task 'B' "
+                      "period"}));
+}
+
+TEST(Validator, MessageMissingInstance) {
+  Specification s = two_tasks();
+  s.task(TaskId(1)).timing = TimingConstraints{0, 0, 1, 5, 5};
+  ScheduleTable t = good_table();
+  t.items.pop_back();
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"task 'B' instance 1 never executes",
+                      "task 'B' instance 2 never executes"}));
+}
+
+TEST(Validator, MessagePerInstanceContracts) {
+  Specification s("contracts");
+  s.add_processor("cpu");
+  s.add_task("A", TimingConstraints{0, 3, 2, 8, 10});
+  s.add_task("P", TimingConstraints{0, 0, 4, 10, 10},
+             SchedulingType::kPreemptive);
+  ASSERT_TRUE(s.validate().ok());
+  ScheduleTable t;
+  t.schedule_period = 10;
+  // A: starts before its release, split in two, finishes late, runs 3 of 2.
+  t.items.push_back(row(1, false, TaskId(0), 0, 1));
+  t.items.push_back(row(8, false, TaskId(0), 0, 2));
+  // P: a first segment flagged as a resume and a continuation that is not.
+  t.items.push_back(row(2, true, TaskId(1), 0, 2));
+  t.items.push_back(row(4, false, TaskId(1), 0, 2));
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"A#1: executes 3 units, WCET is 2",
+                      "A#1: starts at 1, release is 3",
+                      "A#1: completes at 10, deadline is 8",
+                      "A#1: non-preemptive task split into 2 segments",
+                      "A#1: segment 2 carries preempted=false, expected true",
+                      "P#1: segment 1 carries preempted=true, expected false",
+                      "P#1: segment 2 carries preempted=false, expected "
+                      "true"}));
+}
+
+TEST(Validator, MessageProcessorOverlap) {
+  ScheduleTable t = good_table();
+  t.items[1].start = 1;
+  t.items.push_back(row(2, false, TaskId(0), 1, 2));
+  EXPECT_EQ(validate_schedule(two_tasks(), t).violations,
+            (Messages{"A#2: starts at 2, release is 10",
+                      "processor 'cpu': segments of 'A' and 'B' overlap at "
+                      "t=1",
+                      "processor 'cpu': segments of 'B' and 'A' overlap at "
+                      "t=2"}));
+}
+
+TEST(Validator, MessagePrecedence) {
+  Specification s = two_tasks();
+  s.add_precedence(TaskId(1), TaskId(0));  // B before A; A runs first
+  ASSERT_TRUE(s.validate().ok());
+  EXPECT_EQ(validate_schedule(s, good_table()).violations,
+            (Messages{"precedence B -> A: start 0 before predecessor "
+                      "finish 5"}));
+  ScheduleTable t = good_table();
+  t.items.pop_back();  // B never runs
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"task 'B' instance 1 never executes",
+                      "precedence B -> A: successor instance 1 has no "
+                      "matching predecessor"}));
+}
+
+TEST(Validator, MessageCoreAssignment) {
+  Specification s = messaging();
+  ScheduleTable t = messaging_table();
+  t.items[0].processor = ProcessorId(1);
+  t.bus_timeline.push_back(transfer(2, 2, MessageId(0)));
+  t.bus_timeline.push_back(transfer(4, 2, MessageId(1)));
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"task 'S' segment at t=0 runs on processor 1, the task "
+                      "is pinned to 0"}));
+}
+
+TEST(Validator, MessageBusOverlap) {
+  Specification s = messaging();
+  ScheduleTable t = messaging_table();
+  t.bus_timeline.push_back(transfer(2, 2, MessageId(0)));
+  t.bus_timeline.push_back(transfer(3, 2, MessageId(1)));
+  t.bus_timeline.push_back(transfer(9, 1, MessageId(5)));
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"bus segment at t=9 references an unknown message",
+                      "bus 'can': transfers of 'm' and 'm2' overlap at t=3"}));
+}
+
+TEST(Validator, MessageBusOrderIsByBusName) {
+  Specification s("buses");
+  s.add_processor("cpu0");
+  const ProcessorId cpu1 = s.add_processor("cpu1");
+  const TaskId sender = s.add_task("S", TimingConstraints{0, 0, 1, 20, 20});
+  spec::Task r;
+  r.name = "R";
+  r.timing = TimingConstraints{0, 0, 1, 20, 20};
+  r.processor = cpu1;
+  const TaskId receiver = s.add_task(std::move(r));
+  const char* const buses[] = {"can", "can", "ahb", "ahb"};
+  for (int i = 0; i < 4; ++i) {
+    spec::Message m;
+    m.name = "m" + std::to_string(i + 1);
+    m.bus = buses[i];
+    m.communication = 2;
+    s.connect_message(sender, s.add_message(std::move(m)), receiver);
+  }
+  ASSERT_TRUE(s.validate().ok());
+  ScheduleTable t;
+  t.schedule_period = 20;
+  t.processor_count = 2;
+  t.items.push_back(row(0, false, sender, 0, 1, ProcessorId(0)));
+  t.items.push_back(row(9, false, receiver, 0, 1, cpu1));
+  t.bus_timeline.push_back(transfer(1, 2, MessageId(0)));
+  t.bus_timeline.push_back(transfer(1, 2, MessageId(2)));
+  t.bus_timeline.push_back(transfer(2, 2, MessageId(1)));
+  t.bus_timeline.push_back(transfer(2, 2, MessageId(3)));
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"bus 'ahb': transfers of 'm3' and 'm4' overlap at t=2",
+                      "bus 'can': transfers of 'm1' and 'm2' overlap at "
+                      "t=2"}));
+}
+
+TEST(Validator, MessageCrossCorePrecedence) {
+  Specification s = messaging();
+  ScheduleTable t = messaging_table();
+  // m starts before S finishes; m2 completes after R starts.
+  t.bus_timeline.push_back(transfer(1, 2, MessageId(0)));
+  t.bus_timeline.push_back(transfer(3, 4, MessageId(1)));
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"message 'm': transfer starts at 1 before the sender "
+                      "finishes at 2",
+                      "message 'm2': receiver starts at 6 before the transfer "
+                      "completes at 7"}));
+  t.bus_timeline.pop_back();  // m2 is never transferred
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"message 'm': transfer starts at 1 before the sender "
+                      "finishes at 2",
+                      "message 'm2': receiver instance 1 has no matching bus "
+                      "transfer"}));
+}
+
+TEST(Validator, MessageSyncBudget) {
+  ScheduleTable t = good_table();
+  t.sync_budget = 1;
+  t.sync_high_water = 1;
+  EXPECT_TRUE(validate_schedule(two_tasks(), t).ok());
+  t.sync_high_water = 3;
+  EXPECT_EQ(validate_schedule(two_tasks(), t).violations,
+            (Messages{"sync budget: 3 synchronization resources held at once, "
+                      "budget K=1"}));
+  t.sync_budget = 0;
+  EXPECT_TRUE(validate_schedule(two_tasks(), t).ok());
+}
+
+TEST(Validator, MessageExclusionInterleave) {
+  Specification s("excl");
+  s.add_processor("cpu");
+  s.add_task("A", TimingConstraints{0, 0, 4, 10, 10},
+             SchedulingType::kPreemptive);
+  s.add_task("B", TimingConstraints{0, 0, 2, 10, 10},
+             SchedulingType::kPreemptive);
+  s.add_exclusion(TaskId(0), TaskId(1));
+  ASSERT_TRUE(s.validate().ok());
+  ScheduleTable t;
+  t.schedule_period = 20;
+  for (const Time base : {Time{0}, Time{10}}) {
+    const auto k = static_cast<std::uint32_t>(base / 10);
+    t.items.push_back(row(base, false, TaskId(0), k, 2));
+    t.items.push_back(row(base + 2, false, TaskId(1), k, 2));
+    t.items.push_back(row(base + 4, true, TaskId(0), k, 2));
+  }
+  EXPECT_EQ(validate_schedule(s, t).violations,
+            (Messages{"exclusion A <-> B: spans [0,6) and [2,4) interleave",
+                      "exclusion A <-> B: spans [10,16) and [12,14) "
+                      "interleave"}));
+}
+
+TEST(Validator, MessagesOfSeveralChecksKeepTheirOrder) {
+  Specification s = messaging();
+  s.add_task("X", TimingConstraints{0, 0, 1, 10, 10});
+  s.add_exclusion(TaskId(0), TaskId(2));
+  ASSERT_TRUE(s.validate().ok());
+  ScheduleTable t;
+  t.schedule_period = 20;
+  t.processor_count = 2;
+  t.sync_budget = 1;
+  t.sync_high_water = 2;
+  t.items.push_back(row(0, false, TaskId(0), 0, 1, ProcessorId(1)));
+  t.items.push_back(row(1, false, TaskId(2), 0, 1, ProcessorId(0)));
+  t.items.push_back(row(1, false, TaskId(0), 0, 2, ProcessorId(0)));
+  t.items.push_back(row(4, false, TaskId(9), 0, 1));
+  t.items.push_back(row(5, false, TaskId(1), 0, 0, ProcessorId(1)));
+  t.bus_timeline.push_back(transfer(0, 9, MessageId(0)));
+  t.bus_timeline.push_back(transfer(3, 1, MessageId(1)));
+  const ValidationReport report = validate_schedule(s, t);
+  EXPECT_EQ(
+      report.violations,
+      (Messages{
+          "segment references an unknown task",
+          "task 'R' has a zero-length segment at t=5",
+          "task 'X' instance 2 never executes",
+          "S#1: executes 3 units, WCET is 2",
+          "S#1: non-preemptive task split into 2 segments",
+          "S#1: segment 2 carries preempted=false, expected true",
+          "R#1: executes 0 units, WCET is 1",
+          "processor 'cpu0': segments of 'X' and 'S' overlap at t=1",
+          "task 'S' segment at t=0 runs on processor 1, the task is pinned "
+          "to 0",
+          "bus 'can': transfers of 'm' and 'm2' overlap at t=3",
+          "message 'm': receiver starts at 5 before the transfer completes "
+          "at 9",
+          "message 'm': transfer starts at 0 before the sender finishes at 3",
+          "sync budget: 2 synchronization resources held at once, budget K=1",
+          "exclusion S <-> X: spans [0,3) and [1,2) interleave"}));
+  EXPECT_EQ(report.segments_checked, 5u);
+  EXPECT_EQ(report.instances_checked, 3u);
+}
+
 // -- Dispatcher simulator -----------------------------------------------------------
 
 TEST(DispatcherSim, RunsCleanTable) {

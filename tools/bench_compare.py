@@ -17,6 +17,15 @@ Benchmark's num_cpus and library_build_type, and the compiler named in
 the CMake cache above --bin-dir. The table warns when the two columns of
 a row come from different hosts.
 
+Two runs of the same binaries minutes apart can differ by more than the
+change being measured. --interleave BEFORE_BIN_DIR records both labels in
+one session instead: for each row it runs the BEFORE_BIN_DIR binary and
+the --bin-dir binary one repetition at a time, alternating which goes
+first, so drift of the host hits both columns alike:
+
+    tools/bench_compare.py --interleave ../parent/build/bench \
+        --filter 'BM_Stage_(Table|Validate|Codegen)/|BM_Pipeline_'
+
 A second mode compares report documents instead of running benchmarks:
 
     tools/bench_compare.py --report before=base.json --report after=new.json
@@ -33,6 +42,8 @@ view for changes where wall clock alone is too noisy to interpret.
 import argparse
 import json
 import os
+import re
+import statistics
 import subprocess
 import sys
 
@@ -87,13 +98,24 @@ def compiler_of(bin_dir):
     return "unknown"
 
 
+# Fields of a Google Benchmark row that are not user-defined counters.
+NOT_COUNTERS = ("name", "run_name", "run_type", "repetitions", "threads",
+                "iterations", "real_time", "cpu_time", "time_unit",
+                "aggregate_name", "aggregate_unit", "family_index",
+                "per_family_instance_index", "repetition_index")
+
+
+def host_of(report, compiler):
+    context = report.get("context", {})
+    return {"num_cpus": context.get("num_cpus"),
+            "library_build_type": context.get("library_build_type"),
+            "compiler": compiler}
+
+
 def record(results, label, report, compiler):
     """Stores one binary's rows under `label`, each from the median and cv
     aggregates of its REPETITIONS runs."""
-    context = report.get("context", {})
-    host = {"num_cpus": context.get("num_cpus"),
-            "library_build_type": context.get("library_build_type"),
-            "compiler": compiler}
+    host = host_of(report, compiler)
     aggregates = {}
     iterations = {}
     for row in report.get("benchmarks", []):
@@ -114,15 +136,77 @@ def record(results, label, report, compiler):
             "iterations": iterations[name],
             "host": host,
             # User-defined counters (states visited, states/sec, ...).
-            "counters": {
-                k: v for k, v in median.items()
-                if k not in ("name", "run_name", "run_type", "repetitions",
-                             "threads", "iterations", "real_time",
-                             "cpu_time", "time_unit", "aggregate_name",
-                             "aggregate_unit", "family_index",
-                             "per_family_instance_index")
-            },
+            "counters": {k: v for k, v in median.items()
+                         if k not in NOT_COUNTERS},
         }
+
+
+def list_rows(binary, extra_args):
+    """Names of the rows `binary` would run with `extra_args`' filter."""
+    proc = subprocess.run([binary, "--benchmark_list_tests=true"]
+                          + extra_args, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return [line.strip() for line in proc.stdout.splitlines()
+            if line.strip()]
+
+
+def interleave(results, before_dir, after_dir, extra_args):
+    """Records both labels of every tracked row in one session: each of
+    REPETITIONS rounds runs the row once per binary, before first in even
+    rounds and after first in odd ones. A row stores the median time, the
+    cv over the rounds and the median counters, as record() does."""
+    compilers = {"before": compiler_of(before_dir),
+                 "after": compiler_of(after_dir)}
+    dirs = {"before": before_dir, "after": after_dir}
+    for bench in TRACKED_BENCHES:
+        binaries = {label: os.path.join(d, bench) for label, d in dirs.items()}
+        for label, binary in binaries.items():
+            if not os.path.exists(binary):
+                print(f"[bench_compare] missing {binary} ({label}); build "
+                      "first", file=sys.stderr)
+                return 1
+        for name in list_rows(binaries["after"], extra_args):
+            only = [f"--benchmark_filter=^{re.escape(name)}$",
+                    "--benchmark_repetitions=1"] + [
+                        a for a in extra_args
+                        if a.startswith("--benchmark_min_time")]
+            samples = {"before": [], "after": []}
+            hosts = {}
+            for round_index in range(REPETITIONS):
+                order = (("before", "after") if round_index % 2 == 0
+                         else ("after", "before"))
+                for label in order:
+                    report = run_bench(binaries[label], only)
+                    rows = [r for r in report.get("benchmarks", [])
+                            if r.get("run_type") == "iteration"]
+                    if rows:
+                        samples[label].append(rows[0])
+                        hosts[label] = host_of(report, compilers[label])
+            for label, rows in samples.items():
+                if rows:
+                    store_samples(results, label, name, rows, hosts[label])
+    return 0
+
+
+def store_samples(results, label, name, rows, host):
+    """One row under `label` from single-repetition runs of it."""
+    times = [r["real_time"] * MS_PER_UNIT[r.get("time_unit", "ns")]
+             for r in rows]
+    mean = statistics.mean(times)
+    counters = {}
+    for key in rows[0]:
+        if key not in NOT_COUNTERS and isinstance(rows[0][key], (int, float)):
+            counters[key] = statistics.median(r[key] for r in rows)
+    results["benchmarks"].setdefault(name, {})[label] = {
+        "real_time_ms": statistics.median(times),
+        "cv": statistics.stdev(times) / mean if len(times) > 1 and mean
+        else 0.0,
+        "repetitions": len(rows),
+        "iterations": rows[0]["iterations"],
+        "host": host,
+        "interleaved": True,
+        "counters": counters,
+    }
 
 
 def print_table(results):
@@ -334,6 +418,10 @@ def main():
                         help="--benchmark_filter regex passed through")
     parser.add_argument("--min-time", default="",
                         help="--benchmark_min_time passed through")
+    parser.add_argument("--interleave", default="", metavar="BEFORE_BIN_DIR",
+                        help="record both labels in one session, "
+                             "alternating this directory's binaries "
+                             "(before) with --bin-dir's (after) row by row")
     parser.add_argument("--report", action="append", default=[],
                         metavar="LABEL=PATH",
                         help="compare report JSON files instead of running "
@@ -345,21 +433,28 @@ def main():
     if args.report:
         return compare_reports(args.report)
 
-    extra = [f"--benchmark_repetitions={REPETITIONS}"]
+    extra = []
     if args.filter:
         extra.append(f"--benchmark_filter={args.filter}")
     if args.min_time:
         extra.append(f"--benchmark_min_time={args.min_time}")
 
     results = load_results()
-    compiler = compiler_of(args.bin_dir)
-    for bench in TRACKED_BENCHES:
-        binary = os.path.join(args.bin_dir, bench)
-        if not os.path.exists(binary):
-            print(f"[bench_compare] missing {binary}; build first",
-                  file=sys.stderr)
+    if args.interleave:
+        if interleave(results, args.interleave, args.bin_dir, extra) != 0:
             return 1
-        record(results, args.label, run_bench(binary, extra), compiler)
+    else:
+        compiler = compiler_of(args.bin_dir)
+        for bench in TRACKED_BENCHES:
+            binary = os.path.join(args.bin_dir, bench)
+            if not os.path.exists(binary):
+                print(f"[bench_compare] missing {binary}; build first",
+                      file=sys.stderr)
+                return 1
+            record(results, args.label,
+                   run_bench(binary, extra + [
+                       f"--benchmark_repetitions={REPETITIONS}"]),
+                   compiler)
 
     with open(RESULT_FILE, "w") as f:
         json.dump(results, f, indent=2, sort_keys=True)

@@ -66,10 +66,14 @@ void Expander::expand(const State& s, std::vector<Candidate>& candidates) {
     //      keeps td enabled with its old clock and dooms the branch.
     // Under (1)-(3) firing t commutes with every zero-delay
     // alternative, so exploring only t preserves schedule existence.
+    // Every candidate's domain ends at min DUB (`latest`), so (1) can
+    // hold only when that bound is 0.
     for (const FireableTransition& f : ft_) {
-      if (f.earliest != 0 ||
-          semantics_->dynamic_upper_bound(s, f.transition) != 0 ||
-          !net_->conflict_free(f.transition)) {
+      if (f.earliest != 0 || f.latest != 0) {
+        continue;
+      }
+      const tpn::FiringRecord& r = net_->firing_record(f.transition);
+      if (r.dub(s.clock(f.transition)) != 0 || !r.conflict_free) {
         continue;
       }
       bool output_consumers_fresh = true;
@@ -103,8 +107,8 @@ void Expander::expand(const State& s, std::vector<Candidate>& candidates) {
   // time, then transition index.
   std::sort(ft_.begin(), ft_.end(),
             [&](const FireableTransition& x, const FireableTransition& y) {
-              const auto px = net_->transition(x.transition).priority;
-              const auto py = net_->transition(y.transition).priority;
+              const auto px = net_->firing_record(x.transition).priority;
+              const auto py = net_->firing_record(y.transition).priority;
               if (px != py) {
                 return px < py;
               }

@@ -114,7 +114,8 @@ class ResourceGuard {
 /// Estimated heap bytes of one search state for the given net: its
 /// marking, clock vector and enabled bitset plus a candidate buffer. The
 /// memory guard charges it for every state a worker owns, live or pooled,
-/// and `sizeof(Frame)` (the vector headers included) for every frame; the
+/// and `sizeof(Frame)` (the vector headers included) for every frame a
+/// frontier stores (run_stack stores a chain of spent frames as one); the
 /// visited set (the asymptotically dominant term) is accounted exactly
 /// by the engines.
 [[nodiscard]] inline std::uint64_t estimated_state_bytes(

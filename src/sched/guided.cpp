@@ -47,7 +47,7 @@ class GuidedSearch {
  public:
   GuidedSearch(const tpn::TimePetriNet& net, const SchedulerOptions& options,
                const GoalPredicate& goal)
-      : shared_(net, options, goal, 0), w_(shared_, 0, /*heuristic=*/true) {}
+      : shared_(net, options, goal, 0, /*ranked=*/true), w_(shared_, 0) {}
 
   SearchOutcome run() {
     SearchOutcome out;

@@ -4,13 +4,20 @@ namespace ezrt::sched {
 
 SearchShared::SearchShared(const tpn::TimePetriNet& net,
                            const SchedulerOptions& options,
-                           const GoalPredicate& goal, std::uint32_t threads)
+                           const GoalPredicate& goal, std::uint32_t threads,
+                           bool ranked)
     : net(net),
       options(options),
       goal(goal),
       semantics(net),
-      classifier(net),
       classes_on(state_classes_enabled(options)),
+      ranked(ranked),
+      classifier(classes_on || ranked
+                     ? std::make_optional<tpn::StateClassifier>(net)
+                     : std::nullopt),
+      miss_at_s0(std::ranges::any_of(
+          net.miss_places(),
+          [&](PlaceId p) { return net.place(p).initial_tokens > 0; })),
       threads(threads),
       t0(std::chrono::steady_clock::now()),
       guard(options, t0),
@@ -80,13 +87,11 @@ void SearchShared::fold(SearchOutcome& out,
   }
 }
 
-SearchWorker::SearchWorker(SearchShared& shared, std::uint32_t tid,
-                           bool heuristic)
+SearchWorker::SearchWorker(SearchShared& shared, std::uint32_t tid)
     : shared(shared),
       tid(tid),
       expander(shared.net, shared.semantics, shared.options),
       attribution(shared.net, shared.options.collect_attribution),
-      heuristic_(heuristic),
       guarded_(shared.guard.armed()),
       progress_{shared.options.progress} {}
 
@@ -94,7 +99,7 @@ Admit SearchWorker::admit_root(Frame& root) {
   root.state = tpn::State::initial(shared.net);
   ++states_owned_;
   const tpn::State& s0 = root.state;
-  claim(shared.classes_on ? shared.classifier.canonical_digest(s0).digest
+  claim(shared.classes_on ? shared.classifier->canonical_digest(s0).digest
                           : s0.digest());
   ++stats.states_visited;
   const std::uint64_t n =
@@ -106,8 +111,8 @@ Admit SearchWorker::admit_root(Frame& root) {
     return conclude(SearchStatus::kLimitReached);
   }
   expander.expand(s0, root.candidates);
-  if (heuristic_) {
-    eval = shared.classifier.evaluate(s0, scratch);
+  if (shared.ranked) {
+    eval = shared.classifier->evaluate(s0, scratch);
     ++stats.heuristic_evals;
   }
   stats.max_depth = std::max<std::uint64_t>(stats.max_depth, root.depth);
@@ -153,7 +158,12 @@ Admit SearchWorker::admit(Frame& parent, std::size_t frames,
         })) {
       return conclude(*tripped);
     }
-    if (tpn::has_deadline_miss(shared.net, s.marking())) {
+    // Every state fired from passed this test when it was admitted or
+    // chased, s0 aside, and a firing changes only •t ∪ t•: only a t with
+    // a miss place in t• can mark one (docs/search.md §5).
+    if ((shared.miss_at_s0 ||
+         shared.net.firing_record(cand.fireable.transition).feeds_miss) &&
+        tpn::has_deadline_miss(shared.net, s.marking())) {
       ++stats.pruned_deadline;
       attribution.record_deadline(s.marking());
       return Admit::kPruned;
@@ -173,14 +183,14 @@ Admit SearchWorker::admit(Frame& parent, std::size_t frames,
     if (shared.is_goal(s.marking())) {
       return conclude(SearchStatus::kFeasible);
     }
-    eval = shared.classifier.evaluate(s, scratch);
-    stats.heuristic_evals += heuristic_ ? 1 : 0;
+    eval = shared.classifier->evaluate(s, scratch);
+    stats.heuristic_evals += shared.ranked ? 1 : 0;
     if (eval.doomed) {
       ++stats.pruned_doomed;
       attribution.record_doomed(eval.doomed_watchdog, s.marking());
       return Admit::kPruned;
     }
-    key = shared.classifier.canonical_digest(s);
+    key = shared.classifier->canonical_digest(s);
     expander.expand(s, child.candidates);
     if (child.candidates.size() != 1) {
       break;  // a decision state
@@ -215,8 +225,8 @@ Admit SearchWorker::admit(Frame& parent, std::size_t frames,
     return conclude(SearchStatus::kLimitReached);
   }
   if (!shared.classes_on) {
-    if (heuristic_) {
-      eval = shared.classifier.evaluate(s, scratch);
+    if (shared.ranked) {
+      eval = shared.classifier->evaluate(s, scratch);
       ++stats.heuristic_evals;
     }
     expander.expand(s, child.candidates);

@@ -71,13 +71,18 @@ struct ProgressCursor {
 /// A frontier entry: an admitted state and its expansion. Once its last
 /// candidate is fired the frame is spent: the child took its state and
 /// buffer (SearchWorker::admit), and it keeps only its trace links.
+/// On run_stack's stack a child whose parent is spent takes the parent's
+/// place, so one frame stands for a chain of admitted states: it keeps
+/// the chain's first `edge_at`, the events of the whole chain and its
+/// length in `frames`.
 struct Frame {
   tpn::State state;
   std::vector<Candidate> candidates;
-  std::size_t next = 0;      ///< next untried candidate
   std::size_t edge_at = 0;   ///< where the entering events start
+  std::uint32_t next = 0;    ///< next untried candidate
   std::uint32_t events = 0;  ///< entering events: one, or a corridor
   std::uint32_t parent = 0;  ///< arena index of the parent (heap, level)
+  std::uint32_t frames = 1;  ///< admitted states this stack frame stands for
   std::uint64_t depth = 1;   ///< admitted states from s0 through this one
 };
 
@@ -102,8 +107,11 @@ class SearchShared {
  public:
   /// `threads` is SchedulerOptions::threads for the parallel engine and 0
   /// for the serial ones, which get one shard and one thread slot.
+  /// `ranked` engines (best-first, beam) order states by the classifier's
+  /// evaluation, so every admitted state carries it in SearchWorker::eval.
   SearchShared(const tpn::TimePetriNet& net, const SchedulerOptions& options,
-               const GoalPredicate& goal, std::uint32_t threads);
+               const GoalPredicate& goal, std::uint32_t threads,
+               bool ranked = false);
 
   /// The goal test: the caller's predicate, or by default the final
   /// marking M_F, read from the net's role index.
@@ -122,8 +130,13 @@ class SearchShared {
   const SchedulerOptions& options;
   const GoalPredicate& goal;
   const tpn::Semantics semantics;
-  const tpn::StateClassifier classifier;
   const bool classes_on;
+  const bool ranked;
+  /// Built only when class keys or a ranked engine read it.
+  const std::optional<tpn::StateClassifier> classifier;
+  /// s0 marks a miss place. Otherwise no admitted state does, and only a
+  /// firing that outputs into a miss place can mark one (admit).
+  const bool miss_at_s0;
   const std::uint32_t threads;
   const std::chrono::steady_clock::time_point t0;
   const ResourceGuard guard;
@@ -192,10 +205,7 @@ class CorridorMemo {
 /// One thread's share of a search: its expander, counters and scratch.
 class alignas(64) SearchWorker {
  public:
-  /// `heuristic` makes every admitted state carry its classifier
-  /// evaluation in `eval` (the best-first and beam ordering key).
-  SearchWorker(SearchShared& shared, std::uint32_t tid,
-               bool heuristic = false);
+  SearchWorker(SearchShared& shared, std::uint32_t tid);
   SearchWorker(const SearchWorker&) = delete;
   SearchWorker& operator=(const SearchWorker&) = delete;
 
@@ -265,11 +275,11 @@ class alignas(64) SearchWorker {
   SearchStats stats;
   AttributionRecorder attribution;  ///< folded like `stats`
   tpn::StateClassifier::Scratch scratch;
-  /// The last admitted state's evaluation (with `heuristic`, or with
+  /// The last admitted state's evaluation (in ranked engines, or with
   /// class keys, which evaluate every chased state for the doom test).
   tpn::StateClassifier::Eval eval;
   std::vector<FiringEvent> edge;  ///< events entering the last admission
-  std::vector<Frame> stack;       ///< run_stack's frontier
+  std::vector<Frame> stack;       ///< run_stack's frontier (chains collapsed)
   Trace path;                     ///< events entering stack frames 1..n
   Trace trace;                    ///< the schedule run_stack found
   SearchStatus status = SearchStatus::kInfeasible;  ///< of the last kFinal
@@ -320,7 +330,6 @@ class alignas(64) SearchWorker {
     return v;
   }
 
-  const bool heuristic_;
   const bool guarded_;
   ProgressCursor progress_;
   /// States this worker created (admit_root's s0 and every copy the
@@ -346,18 +355,29 @@ std::optional<SearchStatus> SearchWorker::run_stack(WorkItem& item,
     Frame& top = stack.back();
     if (top.next >= top.candidates.size()) {
       path.resize(top.edge_at);
+      stats.backtracks += top.frames;  // one per admitted state it stands for
       retire(std::move(top));
       stack.pop_back();
-      ++stats.backtracks;
       continue;
     }
     Frame child;
     const Admit r = admit(top, stack.size(), child);
     if (r == Admit::kAdmitted) {
-      child.edge_at = path.size();
-      child.events = static_cast<std::uint32_t>(edge.size());
+      const auto events = static_cast<std::uint32_t>(edge.size());
       path.insert(path.end(), edge.begin(), edge.end());
-      stack.push_back(std::move(child));
+      if (top.next >= top.candidates.size()) {
+        // The parent is spent: the child takes its place, so only frames
+        // with untried candidates stay stored, and the prefix
+        // edge_at + events still ends at the frame's state.
+        child.edge_at = top.edge_at;
+        child.events = top.events + events;
+        child.frames = top.frames + 1;
+        top = std::move(child);
+      } else {
+        child.edge_at = path.size() - events;
+        child.events = events;
+        stack.push_back(std::move(child));
+      }
       continue;
     }
     retire(std::move(child));

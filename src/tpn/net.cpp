@@ -269,14 +269,20 @@ Status TimePetriNet::validate() {
         static_cast<std::uint32_t>(affected_flat_.size());
   }
 
-  conflict_free_.assign(transitions_.size(), 1);
+  firing_.resize(transitions_.size());
   for (TransitionId t : transitions_.ids()) {
-    for (const Arc& arc : inputs(t)) {
-      if (consumers(arc.place).size() > 1) {
-        conflict_free_[t.value()] = 0;
-        break;
-      }
-    }
+    const Transition& tr = transitions_[t];
+    FiringRecord& r = firing_[t.value()];
+    r.eft = tr.interval.eft();
+    r.lft = tr.interval.lft();
+    r.priority = tr.priority;
+    r.conflict_free = std::ranges::all_of(inputs(t), [&](const Arc& arc) {
+      return consumers(arc.place).size() == 1;
+    });
+    r.feeds_miss = std::ranges::any_of(outputs(t), [&](const Arc& arc) {
+      const PlaceRole role = places_[arc.place].role;
+      return role == PlaceRole::kMissPending || role == PlaceRole::kMissed;
+    });
   }
 
   end_places_.clear();

@@ -94,6 +94,27 @@ struct Transition {
   std::optional<std::uint32_t> code;
 };
 
+/// What the firing rule and the search read of one transition on every
+/// expansion, packed into 24 bytes by `TimePetriNet::validate()`: FT(s),
+/// the partial-order reduction, FT_P and the candidate order read this
+/// record instead of the 72-byte `Transition` (docs/semantics.md §5).
+struct FiringRecord {
+  Time eft = 0;
+  Time lft = 0;  ///< kTimeInfinity when unbounded
+  Priority priority = kDefaultPriority;
+  /// No input place of t feeds any other transition.
+  bool conflict_free = false;
+  /// Some output place of t has a miss role (kMissPending, kMissed).
+  bool feeds_miss = false;
+
+  /// Dynamic lower bound max(0, EFT - c).
+  [[nodiscard]] Time dlb(Time c) const { return eft > c ? eft - c : 0; }
+  /// Dynamic upper bound LFT - c; kTimeInfinity when unbounded.
+  [[nodiscard]] Time dub(Time c) const {
+    return lft == kTimeInfinity ? kTimeInfinity : lft - c;
+  }
+};
+
 /// The net structure. Build with add_place / add_transition / add_arc*,
 /// then call `validate()` once; the net is immutable-by-convention after
 /// that (the scheduler only reads it).
@@ -168,11 +189,17 @@ class TimePetriNet {
             affected_offsets_[t.value() + 1] - affected_offsets_[t.value()]};
   }
 
+  /// t's packed firing record (computed by validate() from t's interval,
+  /// priority and arcs; a validated net is not mutated, so it stays equal
+  /// to them).
+  [[nodiscard]] const FiringRecord& firing_record(TransitionId t) const {
+    return firing_[t.value()];
+  }
+
   /// Cached structural conflict-freedom: no input place of t feeds any
-  /// other transition (computed by validate(); used by the partial-order
-  /// reduction on every expansion).
+  /// other transition (the firing record's bit).
   [[nodiscard]] bool conflict_free(TransitionId t) const {
-    return conflict_free_[t.value()] != 0;
+    return firing_[t.value()].conflict_free;
   }
 
   /// The End-role places (goal) and the kMissPending/kMissed places
@@ -199,8 +226,8 @@ class TimePetriNet {
   /// every transition has at least one input (the building blocks never
   /// produce source transitions, and a source transition with a bounded
   /// interval would make every marking diverge). Also populates the
-  /// consumer index, the affected-set index, the conflict-free bits and
-  /// the role index. Must be called once after construction.
+  /// consumer index, the affected-set index, the firing records and the
+  /// role index. Must be called once after construction.
   [[nodiscard]] Status validate();
 
   [[nodiscard]] bool validated() const { return validated_; }
@@ -242,7 +269,7 @@ class TimePetriNet {
   // affected_flat_[affected_offsets_[t] .. affected_offsets_[t+1]).
   std::vector<std::uint32_t> affected_offsets_;
   std::vector<TransitionId> affected_flat_;
-  std::vector<std::uint8_t> conflict_free_;
+  std::vector<FiringRecord> firing_;
   std::vector<PlaceId> end_places_;
   std::vector<PlaceId> miss_places_;
   bool validated_ = false;

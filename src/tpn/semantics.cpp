@@ -21,31 +21,15 @@ std::vector<TransitionId> Semantics::enabled(const Marking& m) const {
   return out;
 }
 
-bool Semantics::is_enabled(const Marking& m, TransitionId t) const {
-  for (const Arc& arc : net_->inputs(t)) {
-    if (!m.covers(arc.place, arc.weight)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Time Semantics::dynamic_lower_bound(const State& s, TransitionId t) const {
-  const Time eft = net_->transition(t).interval.eft();
-  const Time c = s.clock(t);
-  return eft > c ? eft - c : 0;
+  return net_->firing_record(t).dlb(s.clock(t));
 }
 
 Time Semantics::dynamic_upper_bound(const State& s, TransitionId t) const {
-  const TimeInterval& interval = net_->transition(t).interval;
-  if (!interval.bounded()) {
-    return kTimeInfinity;
-  }
-  const Time c = s.clock(t);
   // Strong semantics guarantee c never exceeds LFT for enabled transitions.
-  EZRT_ASSERT(c <= interval.lft(),
+  EZRT_ASSERT(s.clock(t) <= net_->firing_record(t).lft,
               "clock of '" + net_->transition(t).name + "' passed its LFT");
-  return interval.lft() - c;
+  return net_->firing_record(t).dub(s.clock(t));
 }
 
 Time Semantics::max_time_advance(
@@ -74,18 +58,28 @@ std::vector<FireableTransition> Semantics::fireable(
 
 void Semantics::fireable_into(const State& s, bool priority_filter,
                               std::vector<FireableTransition>& out) const {
-  // Iterates the maintained enabled set in transition-id order, exactly
-  // as the dense scan would: one pass for the time bound, one for the
-  // surviving candidates.
+  // One pass over the maintained enabled set, in transition-id order as
+  // the dense scan would: each DLB and the minimum DUB come from the
+  // packed firing records; then the transitions whose DLB lies within
+  // that bound are kept in place, in the same order.
   out.clear();
-  const Time bound = min_upper_bound(s);
   out.reserve(s.enabled_count());
+  Time bound = kTimeInfinity;
   s.for_each_enabled([&](TransitionId t) {
-    const Time dlb = dynamic_lower_bound(s, t);
-    if (dlb <= bound) {
-      out.push_back(FireableTransition{t, dlb, bound});
-    }
+    const FiringRecord& r = net_->firing_record(t);
+    const Time c = s.clocks_[t.value()];
+    EZRT_ASSERT(c <= r.lft, "clock of '" + net_->transition(t).name +
+                                "' passed its LFT");
+    bound = std::min(bound, r.dub(c));
+    out.push_back(FireableTransition{t, r.dlb(c), 0});
   });
+  std::size_t kept = 0;
+  for (const FireableTransition& f : out) {
+    if (f.earliest <= bound) {
+      out[kept++] = FireableTransition{f.transition, f.earliest, bound};
+    }
+  }
+  out.resize(kept);
   if (priority_filter) {
     apply_priority_filter(*net_, out);
   }
@@ -226,10 +220,10 @@ void apply_priority_filter(const TimePetriNet& net,
   // FT_P(s): only transitions of minimal priority value survive.
   Priority best = std::numeric_limits<Priority>::max();
   for (const FireableTransition& f : ft) {
-    best = std::min(best, net.transition(f.transition).priority);
+    best = std::min(best, net.firing_record(f.transition).priority);
   }
   std::erase_if(ft, [&](const FireableTransition& f) {
-    return net.transition(f.transition).priority != best;
+    return net.firing_record(f.transition).priority != best;
   });
 }
 

@@ -15,6 +15,7 @@
 // dynamic upper bound, which is why firing times are capped by min DUB.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "base/result.hpp"
@@ -49,7 +50,12 @@ class Semantics {
   /// ET(m): every t whose preset is covered by the marking.
   [[nodiscard]] std::vector<TransitionId> enabled(const Marking& m) const;
 
-  [[nodiscard]] bool is_enabled(const Marking& m, TransitionId t) const;
+  /// Inline: the firing rule checks every affected transition with it.
+  [[nodiscard]] bool is_enabled(const Marking& m, TransitionId t) const {
+    return std::ranges::all_of(net_->inputs(t), [&](const Arc& arc) {
+      return m.covers(arc.place, arc.weight);
+    });
+  }
 
   /// Dynamic lower bound max(0, EFT(t) - c(t)).
   [[nodiscard]] Time dynamic_lower_bound(const State& s, TransitionId t) const;

@@ -283,6 +283,99 @@ TEST(Dfs, AllInDomainFindsDelayedFiring) {
   EXPECT_EQ(out.trace.back().at, 3u);
 }
 
+// The miss test runs only after a firing into a miss place, unless s0
+// already marks one: then a child that keeps s0's token is a deadline
+// prune although the transition that produced it touches no miss place.
+TEST(Dfs, MissMarkedAtInitialStatePrunesEveryChildThatKeepsIt) {
+  tpn::TimePetriNet net;
+  const PlaceId pending =
+      net.add_place("pwpc", 1, tpn::PlaceRole::kMissPending, TaskId(0));
+  const PlaceId a = net.add_place("a", 1);
+  const PlaceId b = net.add_place("b", 0);
+  const PlaceId sink = net.add_place("sink", 0);
+  const PlaceId end = net.add_place("pend", 0, tpn::PlaceRole::kEnd);
+  const auto go = net.add_transition("go", TimeInterval(0, 2));
+  const auto drain = net.add_transition("drain", TimeInterval(1, 1));
+  const auto finish = net.add_transition("finish", TimeInterval(0, 0));
+  net.add_input(go, a);
+  net.add_output(go, b);
+  net.add_input(drain, pending);
+  net.add_output(drain, sink);
+  net.add_input(finish, b);
+  net.add_output(finish, end);
+  ASSERT_TRUE(net.validate().ok());
+  ASSERT_FALSE(net.firing_record(go).feeds_miss);
+
+  // s0 offers go at 0 and drain at 1. go keeps the miss token and is
+  // pruned (without the test it would reach pend with a miss marked);
+  // drain removes it, and go and finish then reach the goal.
+  for (const bool classes : {false, true}) {
+    for (const auto& [name, options] : engine_variants(classes)) {
+      SCOPED_TRACE(name);
+      SchedulerOptions o = options;
+      o.pruning = PruningMode::kNone;
+      const SearchOutcome out = DfsScheduler(net, o).search();
+      ASSERT_EQ(out.status, SearchStatus::kFeasible);
+      ASSERT_EQ(out.trace.size(), 3u);
+      EXPECT_EQ(out.trace[0].transition, drain);
+      EXPECT_EQ(out.trace[1].transition, go);
+      EXPECT_EQ(out.trace[2].transition, finish);
+      EXPECT_EQ(out.stats.pruned_deadline, 1u);
+    }
+  }
+  SchedulerOptions options;
+  options.pruning = PruningMode::kNone;
+  const SearchStats st = DfsScheduler(net, options).search().stats;
+  EXPECT_EQ(st.states_visited, 4u);
+  EXPECT_EQ(st.transitions_fired, 4u);
+  EXPECT_EQ(st.backtracks, 0u);
+  EXPECT_EQ(st.pruned_visited, 0u);
+  EXPECT_EQ(st.max_depth, 3u);
+}
+
+// The miss bit of a firing record follows the output places' roles, not
+// the transition's: a generic hand-built transition that outputs into a
+// kMissed place has its children tested, and pruned.
+TEST(Dfs, HandBuiltTransitionIntoMissedPlaceIsPruned) {
+  tpn::TimePetriNet net;
+  const PlaceId a = net.add_place("a", 1);
+  const PlaceId missed =
+      net.add_place("pdm", 0, tpn::PlaceRole::kMissed, TaskId(0));
+  const PlaceId end = net.add_place("pend", 0, tpn::PlaceRole::kEnd);
+  // `bad` is tried first and would reach the goal with a miss marked.
+  const auto bad =
+      net.add_transition("bad", TimeInterval(0, 1), /*priority=*/1);
+  const auto good =
+      net.add_transition("good", TimeInterval(0, 1), /*priority=*/2);
+  net.add_input(bad, a);
+  net.add_output(bad, missed);
+  net.add_output(bad, end);
+  net.add_input(good, a);
+  net.add_output(good, end);
+  ASSERT_TRUE(net.validate().ok());
+  EXPECT_TRUE(net.firing_record(bad).feeds_miss);
+  EXPECT_FALSE(net.firing_record(good).feeds_miss);
+
+  for (const bool classes : {false, true}) {
+    for (const auto& [name, options] : engine_variants(classes)) {
+      SCOPED_TRACE(name);
+      SchedulerOptions o = options;
+      o.pruning = PruningMode::kNone;
+      const SearchOutcome out = DfsScheduler(net, o).search();
+      ASSERT_EQ(out.status, SearchStatus::kFeasible);
+      ASSERT_EQ(out.trace.size(), 1u);
+      EXPECT_EQ(out.trace[0].transition, good);
+      EXPECT_EQ(out.stats.pruned_deadline, 1u);
+      EXPECT_EQ(out.stats.transitions_fired, 2u);
+    }
+  }
+  // FT_P keeps only `bad`, whose child is pruned: infeasible.
+  const SearchOutcome filtered = DfsScheduler(net).search();
+  EXPECT_EQ(filtered.status, SearchStatus::kInfeasible);
+  EXPECT_EQ(filtered.stats.pruned_deadline, 1u);
+  EXPECT_EQ(filtered.stats.states_visited, 1u);
+}
+
 // -- Pinned statistics -------------------------------------------------------
 
 /// Order-sensitive digest of a trace (transition, delay, timestamp).
@@ -343,6 +436,114 @@ TEST(DfsGolden, ExampleModelsKeepTheirStatisticsAndTraces) {
     EXPECT_EQ(st.pruned_priority, g.pruned_priority);
     EXPECT_EQ(st.max_depth, g.max_depth);
     EXPECT_EQ(out.trace.size(), g.trace_length);
+    EXPECT_EQ(trace_hash(out.trace), g.trace_hash);
+  }
+}
+
+/// A one-core set shaped like the `pipeline` benchmark corpus
+/// (perfbench/pin.cpp): 20% preemptive tasks, tasks/5 precedence edges
+/// and tasks/8 exclusion pairs.
+[[nodiscard]] workload::WorkloadConfig pipeline_shaped(std::uint32_t tasks,
+                                                       double utilization,
+                                                       std::uint64_t seed) {
+  workload::WorkloadConfig c;
+  c.tasks = tasks;
+  c.utilization = utilization;
+  c.preemptive_fraction = 0.2;
+  c.precedence_edges = tasks / 5;
+  c.exclusion_pairs = tasks / 8;
+  c.seed = seed;
+  return c;
+}
+
+// Default-DFS statistics and traces on generated sets, feasible and
+// infeasible, one-core and 2- and 4-core (partitioned and global). The
+// example models above barely backtrack; here most infeasible searches
+// dive, hit one deadline and pop every frame, so `backtracks` pins how the
+// stack unwinds a long single-candidate dive.
+TEST(DfsGolden, GeneratedDocumentsKeepTheirStatisticsAndTraces) {
+  using workload::multiproc_scenario;
+  using workload::Placement;
+  struct Row {
+    const char* name;
+    workload::WorkloadConfig config;
+    SearchStatus status;
+    std::uint64_t states, fired, backtracks, pruned_deadline, pruned_visited,
+        pruned_priority, max_depth, trace_hash;
+  };
+  constexpr auto kF = SearchStatus::kFeasible;
+  constexpr auto kI = SearchStatus::kInfeasible;
+  constexpr std::uint64_t kEmpty = 14695981039346656037ull;  // no events
+  const Row rows[] = {
+      {"8t u0.3", pipeline_shaped(8, 0.3, 29), kF, 311, 310, 0, 0, 0, 295,
+       310, 7448592323287577311ull},
+      {"12t u0.7", pipeline_shaped(12, 0.7, 26), kF, 559, 558, 0, 0, 0, 1197,
+       558, 10479808556549707698ull},
+      {"28t u0.6", pipeline_shaped(28, 0.6, 35), kF, 779, 778, 0, 0, 0, 2726,
+       778, 12307711862858973056ull},
+      {"36t u0.5", pipeline_shaped(36, 0.5, 64), kF, 827, 826, 0, 0, 0, 3809,
+       826, 2978892604550360932ull},
+      {"32t u0.4", pipeline_shaped(32, 0.4, 39), kF, 786, 787, 149, 1, 1,
+       3546, 636, 8300905173266811950ull},
+      {"32t u0.6", pipeline_shaped(32, 0.6, 39), kF, 866, 867, 107, 1, 1,
+       4071, 758, 14589218342391175945ull},
+      {"36t u0.6", pipeline_shaped(36, 0.6, 64), kF, 1095, 1111, 258, 1, 16,
+       5621, 836, 8490296825251846450ull},
+      {"40t u0.5", pipeline_shaped(40, 0.5, 68), kF, 1353, 1394, 426, 2, 40,
+       8272, 926, 14535916847261630593ull},
+      {"40t u0.7", pipeline_shaped(40, 0.7, 68), kF, 1383, 1408, 324, 2, 24,
+       8931, 1058, 3123661154701790559ull},
+      {"6t u0.6", pipeline_shaped(6, 0.6, 20), kI, 24, 25, 24, 1, 1, 34, 23,
+       kEmpty},
+      {"10t u0.7", pipeline_shaped(10, 0.7, 38), kI, 426, 434, 426, 1, 8, 425,
+       402, kEmpty},
+      {"12t u0.7 infeasible", pipeline_shaped(12, 0.7, 33), kI, 357, 409, 357,
+       1, 52, 580, 191, kEmpty},
+      {"14t u0.7", pipeline_shaped(14, 0.7, 21), kI, 309, 321, 309, 2, 11,
+       584, 272, kEmpty},
+      {"24t u0.5", pipeline_shaped(24, 0.5, 45), kI, 374, 382, 374, 1, 8,
+       1356, 297, kEmpty},
+      {"28t u0.6 infeasible", pipeline_shaped(28, 0.6, 56), kI, 90, 90, 90, 1,
+       0, 543, 90, kEmpty},
+      {"32t u0.7", pipeline_shaped(32, 0.7, 39), kI, 443, 459, 443, 2, 15,
+       3058, 303, kEmpty},
+      {"40t u0.6", pipeline_shaped(40, 0.6, 47), kI, 533, 561, 533, 2, 27,
+       3271, 234, kEmpty},
+      {"partitioned 2-core", multiproc_scenario(Placement::kPartitioned, false,
+                                               2, 1),
+       kF, 103, 102, 0, 0, 0, 62, 102, 8132141911115277408ull},
+      {"partitioned 4-core", multiproc_scenario(Placement::kPartitioned, false,
+                                               4, 1),
+       kF, 191, 190, 0, 0, 0, 183, 190, 2786152641894107591ull},
+      {"partitioned harmonic 2-core",
+       multiproc_scenario(Placement::kPartitioned, true, 2, 4), kF, 59, 58, 0,
+       0, 0, 36, 58, 7276288566753573341ull},
+      {"global 2-core", multiproc_scenario(Placement::kGlobal, false, 2, 4),
+       kI, 36, 38, 36, 1, 2, 14, 33, kEmpty},
+      {"global 4-core", multiproc_scenario(Placement::kGlobal, false, 4, 1),
+       kI, 115, 124, 115, 1, 9, 69, 95, kEmpty},
+      {"global harmonic 4-core",
+       multiproc_scenario(Placement::kGlobal, true, 4, 2), kI, 69, 73, 69, 1,
+       4, 41, 59, kEmpty},
+      {"global harmonic 4-core feasible",
+       multiproc_scenario(Placement::kGlobal, true, 4, 4), kF, 137, 136, 0, 0,
+       0, 91, 136, 11803458194405054849ull},
+  };
+  for (const Row& g : rows) {
+    SCOPED_TRACE(g.name);
+    auto spec = workload::generate(g.config);
+    ASSERT_TRUE(spec.ok()) << spec.error().to_string();
+    const BuiltModel model = build(spec.value());
+    const SearchOutcome out = DfsScheduler(model.net).search();
+    EXPECT_EQ(out.status, g.status);
+    const SearchStats& st = out.stats;
+    EXPECT_EQ(st.states_visited, g.states);
+    EXPECT_EQ(st.transitions_fired, g.fired);
+    EXPECT_EQ(st.backtracks, g.backtracks);
+    EXPECT_EQ(st.pruned_deadline, g.pruned_deadline);
+    EXPECT_EQ(st.pruned_visited, g.pruned_visited);
+    EXPECT_EQ(st.pruned_priority, g.pruned_priority);
+    EXPECT_EQ(st.max_depth, g.max_depth);
     EXPECT_EQ(trace_hash(out.trace), g.trace_hash);
   }
 }

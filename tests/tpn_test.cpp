@@ -6,11 +6,13 @@
 #include <utility>
 
 #include "base/assert.hpp"
+#include "builder/tpn_builder.hpp"
 #include "tpn/analysis.hpp"
 #include "tpn/marking.hpp"
 #include "tpn/net.hpp"
 #include "tpn/semantics.hpp"
 #include "tpn/state.hpp"
+#include "workload/generator.hpp"
 
 namespace ezrt::tpn {
 namespace {
@@ -537,6 +539,62 @@ TEST(Analysis, FinalMarkingByEndRole) {
   ASSERT_TRUE(net.validate().ok());
   EXPECT_FALSE(is_final_marking(net, Marking({0, 1})));
   EXPECT_TRUE(is_final_marking(net, Marking({1, 1})));
+}
+
+// The firing record validate() packs for each transition equals what a
+// dense read of the net gives: its interval and priority, no other
+// consumer of any input place, and some output place with a miss role.
+TEST(FiringRecord, MatchesTheNetOnExampleAndGeneratedModels) {
+  static_assert(sizeof(FiringRecord) == 24);
+  spec::Specification harmonic("workload-1");  // examples/specs/harmonic_u40
+  harmonic.add_processor("cpu0");
+  harmonic.add_task("T1", spec::TimingConstraints{0, 0, 28, 135, 200});
+  harmonic.add_task("T2", spec::TimingConstraints{0, 0, 9, 175, 200});
+  harmonic.add_task("T3", spec::TimingConstraints{0, 0, 12, 162, 200});
+  harmonic.add_task("T4", spec::TimingConstraints{0, 0, 16, 91, 100});
+  const std::pair<const char*, spec::Specification> models[] = {
+      {"mine_pump", workload::mine_pump_specification()},
+      {"harmonic_u40", harmonic},
+      {"uav_dual_processor", workload::uav_autopilot_specification()},
+      {"global 4-core",
+       workload::generate(workload::multiproc_scenario(
+                              workload::Placement::kGlobal, true, 4, 4))
+           .value()},
+  };
+  for (const auto& [name, spec] : models) {
+    SCOPED_TRACE(name);
+    const auto built = builder::build_tpn(spec);
+    ASSERT_TRUE(built.ok()) << built.error().to_string();
+    const TimePetriNet& net = built.value().net;
+    std::size_t feeding = 0;
+    for (TransitionId t : net.transition_ids()) {
+      const Transition& tr = net.transition(t);
+      const FiringRecord& r = net.firing_record(t);
+      SCOPED_TRACE(tr.name);
+      EXPECT_EQ(r.eft, tr.interval.eft());
+      EXPECT_EQ(r.lft, tr.interval.lft());
+      EXPECT_EQ(r.priority, tr.priority);
+      bool free = true;
+      for (const Arc& in : net.inputs(t)) {
+        for (TransitionId u : net.transition_ids()) {
+          for (const Arc& other : net.inputs(u)) {
+            free = free && (u == t || other.place != in.place);
+          }
+        }
+      }
+      EXPECT_EQ(r.conflict_free, free);
+      EXPECT_EQ(r.conflict_free, structurally_conflict_free(net, t));
+      bool feeds = false;
+      for (const Arc& out : net.outputs(t)) {
+        const PlaceRole role = net.place(out.place).role;
+        feeds = feeds || role == PlaceRole::kMissPending ||
+                role == PlaceRole::kMissed;
+      }
+      EXPECT_EQ(r.feeds_miss, feeds);
+      feeding += feeds ? 1 : 0;
+    }
+    EXPECT_GT(feeding, 0u);  // every model has deadline-miss transitions
+  }
 }
 
 TEST(Analysis, DescribeMarkingListsTokens) {

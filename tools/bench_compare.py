@@ -17,6 +17,11 @@ Benchmark's num_cpus and library_build_type, and the compiler named in
 the CMake cache above --bin-dir. The table warns when the two columns of
 a row come from different hosts.
 
+The table tags a row "noise" when its speedup differs from 1 by less
+than twice the larger cv of its two sides: the spread of the
+repetitions cannot tell such a row's change from none, so it reads as
+neither a gain nor a loss.
+
 Two runs of the same binaries minutes apart can differ by more than the
 change being measured. --interleave BEFORE_BIN_DIR records both labels in
 one session instead: for each row it runs the BEFORE_BIN_DIR binary and
@@ -209,10 +214,23 @@ def store_samples(results, label, name, rows, host):
     }
 
 
+def is_noise(before, after):
+    """True when |speedup - 1| is below twice the larger cv of the two
+    sides, which the repetitions' spread cannot resolve. Rows without a cv
+    on both sides (the loadgen rows) are never tagged."""
+    if not (before and after and "cv" in before and "cv" in after):
+        return False
+    b, a = before["real_time_ms"], after["real_time_ms"]
+    if not (b and a):
+        return False
+    return abs(b / a - 1) < 2 * max(before["cv"], after["cv"])
+
+
 def print_table(results):
-    """One line per row: the median and cv of each side, the speedup and
-    the host of each side (legend below). The BM_Serve_* rows come from
-    loadgen summaries (tools/loadgen.cpp) and carry no cv and no host."""
+    """One line per row: the median and cv of each side, the speedup (with
+    a "noise" tag, is_noise) and the host of each side (legend below). The
+    BM_Serve_* rows come from loadgen summaries (tools/loadgen.cpp) and
+    carry no cv and no host."""
     rows = []
     hosts = []
     mixed = []
@@ -222,6 +240,7 @@ def print_table(results):
         b = before["real_time_ms"] if before else None
         a = after["real_time_ms"] if after else None
         speedup = f"{b / a:5.2f}x" if b and a else "    --"
+        noise = "noise" if is_noise(before, after) else ""
         fmt = lambda v: f"{v:12.3f}" if v is not None else "          --"
         cv = lambda r: (f"{r['cv'] * 100:6.1f}%" if r and "cv" in r
                         else "     --")
@@ -237,13 +256,14 @@ def print_table(results):
         if before and after and before.get("host") != after.get("host"):
             mixed.append(name)
         rows.append(f"{name:<44} {fmt(b)} {cv(before)} {fmt(a)} "
-                    f"{cv(after)} {speedup}  {'/'.join(tags)}")
+                    f"{cv(after)} {speedup} {noise:<5}  {'/'.join(tags)}")
     header = (f"{'benchmark':<44} {'before(ms)':>12} {'cv':>7} "
-              f"{'after(ms)':>12} {'cv':>7} {'speedup':>7}  host")
+              f"{'after(ms)':>12} {'cv':>7} {'speedup':>7} {'':<5}  host")
     print(header)
     print("-" * len(header))
     for row in rows:
         print(row)
+    print("noise: |speedup - 1| < 2 x the larger cv of the row's sides")
     for i, host in enumerate(hosts):
         print(f"h{i + 1}: {host['num_cpus']} cpus, "
               f"{host['compiler']}, benchmark library "

@@ -130,7 +130,9 @@ struct StageFixture {
   f.document = text.str();
   f.spec = pnml::read_ezspec(f.document).value();
   f.model = builder::build_tpn(f.spec).value();
-  // The UAV set needs the complete search (docs/multiprocessor.md).
+  // The UAV rows time the complete search mode, as recorded in the
+  // ledger; the default search schedules the set too
+  // (docs/multiprocessor.md §7).
   if (model == "uav_dual_processor") {
     f.options.pruning = sched::PruningMode::kNone;
   }

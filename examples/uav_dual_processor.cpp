@@ -26,10 +26,9 @@ int main() {
   // examples/specs/, the CLI tests and this example all share one source.
   spec::Specification system = workload::uav_autopilot_specification();
 
-  // The exclusion lock's acquisition order makes this set a case where
-  // the paper's FT_P priority filter prunes away every feasible
-  // interleaving — the complete search mode finds one (see EXPERIMENTS.md
-  // on the completeness trade-off).
+  // The complete search mode (no FT_P priority filter), the mode the
+  // multi-processor tests and CI job run this set in. The default search
+  // schedules it too (docs/multiprocessor.md §7).
   sched::SchedulerOptions complete_search;
   complete_search.pruning = sched::PruningMode::kNone;
   core::Project project(system, builder::BuildOptions{}, complete_search);

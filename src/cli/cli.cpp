@@ -20,6 +20,7 @@
 #include "tpn/dot.hpp"
 
 #include "core/project.hpp"
+#include "core/response.hpp"
 #include "core/run_options.hpp"
 #include "core/run_report.hpp"
 #include "runtime/cyclic.hpp"
@@ -39,46 +40,10 @@ namespace ezrt::cli {
 
 namespace {
 
-// Documented exit codes (docs/robustness.md, `ezrt help`). Scripts and CI
-// branch on these, so the mapping is part of the tool's contract:
-//   0   success (feasible schedule, valid spec, clean simulation)
-//   1   runtime failure (I/O, unsupported feature, internal error,
-//       simulation detected deadline misses, replay diverged)
-//   2   infeasible — a definitive domain answer, not an error
-//   3   a configured budget tripped (state, wall-clock or memory limit)
-//   4   invalid input (malformed document, inconsistent spec, bad flags)
-//   130 cancelled (128 + SIGINT, the shell convention for ^C)
-constexpr int kOk = 0;
-constexpr int kFailure = 1;
-constexpr int kInfeasibleExit = 2;
-constexpr int kLimitExit = 3;
-constexpr int kInvalidInput = 4;
-constexpr int kCancelledExit = 130;
-
-[[nodiscard]] int exit_code_for(const Error& error) {
-  switch (error.code()) {
-    case ErrorCode::kInfeasible:
-      return kInfeasibleExit;
-    case ErrorCode::kLimitExceeded:
-      return kLimitExit;
-    case ErrorCode::kCancelled:
-      return kCancelledExit;
-    case ErrorCode::kInvalidArgument:
-    case ErrorCode::kParseError:
-    case ErrorCode::kValidationError:
-      return kInvalidInput;
-    case ErrorCode::kUnsupported:
-    case ErrorCode::kIoError:
-    case ErrorCode::kInternal:
-      return kFailure;
-  }
-  return kFailure;
-}
-
 /// Prints the error and maps it to its documented exit code.
 [[nodiscard]] int fail(std::ostream& err, const Error& error) {
   err << "error: " << error << "\n";
-  return exit_code_for(error);
+  return core::exit_code_for(error);
 }
 
 /// Parsed command line: positionals plus --flag[=value] options.
@@ -326,7 +291,7 @@ int cmd_info(const Args& args, std::ostream& out, std::ostream& err,
   }
   out << "  analytic schedulability pre-checks:\n"
       << runtime::format_admission(runtime::check_admission(s));
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_validate(const Args& args, std::ostream& out, std::ostream& err,
@@ -336,7 +301,7 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err,
     return fail(err, project.error());
   }
   out << "specification is valid\n";
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err,
@@ -401,7 +366,7 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err,
     if (auto s = write_observability(); !s.ok()) {
       err << "error: " << s.error() << "\n";
     }
-    return exit_code_for(status.error());
+    return core::exit_code_for(status.error());
   }
   const sched::SearchStats& stats = p.outcome().stats;
   out << "feasible schedule: " << p.outcome().trace.size() << " firings, "
@@ -435,26 +400,7 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err,
   if (auto s = write_observability(); !s.ok()) {
     return fail(err, s.error());
   }
-  return kOk;
-}
-
-/// Exit code for the explain command: mirrors the verdict the
-/// explanation was built for, so scripts can branch identically on
-/// `ezrt schedule` and `ezrt explain`.
-[[nodiscard]] int exit_code_for(sched::SearchStatus status) {
-  switch (status) {
-    case sched::SearchStatus::kFeasible:
-      return kOk;
-    case sched::SearchStatus::kInfeasible:
-      return kInfeasibleExit;
-    case sched::SearchStatus::kLimitReached:
-    case sched::SearchStatus::kTimeLimit:
-    case sched::SearchStatus::kMemoryLimit:
-      return kLimitExit;
-    case sched::SearchStatus::kCancelled:
-      return kCancelledExit;
-  }
-  return kFailure;
+  return core::kExitOk;
 }
 
 int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
@@ -485,7 +431,7 @@ int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
     explain_options.minimize = false;
   }
   if (!read_uint(args, "sync-cap", explain_options.sync_budget_cap, err, 1)) {
-    return kInvalidInput;
+    return core::kExitInvalidInput;
   }
 
   // Layer 1 first: a violated necessary condition explains infeasibility
@@ -530,7 +476,7 @@ int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
     }
     out << "report written to " << *report_path << "\n";
   }
-  return exit_code_for(explanation.status);
+  return core::exit_code_for(explanation.status);
 }
 
 int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err,
@@ -542,7 +488,7 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err,
   const auto dir = args.value("output");
   if (!dir.has_value()) {
     err << "error: codegen requires -o <dir>\n";
-    return kInvalidInput;
+    return core::kExitInvalidInput;
   }
   codegen::CodegenOptions options;
   if (auto target = args.value("target")) {
@@ -552,19 +498,19 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err,
       options.target = codegen::Target::kHostSim;
     } else {
       err << "error: unknown target '" << *target << "'\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
   }
   if (auto mcu = args.value("mcu")) {
     auto family = codegen::mcu_family_from_string(*mcu);
     if (!family.ok()) {
       err << "error: " << family.error() << "\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
     options.mcu = family.value();
   }
   if (!read_uint(args, "timer-hz", options.timer_hz, err)) {
-    return kInvalidInput;
+    return core::kExitInvalidInput;
   }
   auto code = project.value().generate_code(options);
   if (!code.ok()) {
@@ -581,7 +527,7 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err,
     out << "wrote " << (std::filesystem::path(*dir) / file.name).string()
         << "\n";
   }
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err,
@@ -605,7 +551,7 @@ int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err,
   } else {
     out << dot;
   }
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err,
@@ -626,7 +572,7 @@ int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err,
   } else {
     out << document.value();
   }
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err,
@@ -676,7 +622,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err,
     auto parsed = parse_uint(*cycles);
     if (!parsed.ok()) {
       err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
     const runtime::CyclicCheck check =
         runtime::check_repeatable(p.specification(), table.value());
@@ -685,7 +631,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err,
       for (const std::string& reason : check.reasons) {
         err << "  - " << reason << "\n";
       }
-      return kFailure;
+      return core::kExitFailure;
     }
     const runtime::CyclicRun cyclic = runtime::simulate_cyclic(
         p.specification(), table.value(), parsed.value());
@@ -694,9 +640,9 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err,
         << cyclic.deadline_misses << " misses, "
         << cyclic.context_switches << " context switches, busy "
         << cyclic.total_busy << " / idle " << cyclic.total_idle << "\n";
-    return cyclic.ok && run.ok() ? kOk : kFailure;
+    return cyclic.ok && run.ok() ? core::kExitOk : core::kExitFailure;
   }
-  return run.ok() ? kOk : kFailure;
+  return run.ok() ? core::kExitOk : core::kExitFailure;
 }
 
 int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
@@ -709,7 +655,7 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
       !read_uint(args, "processors", config.processors, err) ||
       !read_uint(args, "messages", config.messages, err) ||
       !read_uint(args, "sync-budget", config.sync_budget, err)) {
-    return kInvalidInput;
+    return core::kExitInvalidInput;
   }
   if (auto value = args.value("placement")) {
     if (*value == "partitioned") {
@@ -718,7 +664,7 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
       config.placement = workload::Placement::kGlobal;
     } else {
       err << "error: --placement expects partitioned|global\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
   }
   if (auto value = args.value("utilization")) {
@@ -726,7 +672,7 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
       config.utilization = std::stod(*value);
     } catch (const std::exception&) {
       err << "error: --utilization expects a number\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
   }
   if (auto value = args.value("preemptive")) {
@@ -734,7 +680,7 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
       config.preemptive_fraction = std::stod(*value);
     } catch (const std::exception&) {
       err << "error: --preemptive expects a fraction\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
   }
   auto generated = workload::generate(config);
@@ -754,7 +700,7 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
   } else {
     out << document.value();
   }
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err,
@@ -778,7 +724,7 @@ int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err,
                   static_cast<unsigned long long>(r.dispatches));
     out << line;
   }
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_replay(const Args& args, std::ostream& out, std::ostream& err,
@@ -789,7 +735,7 @@ int cmd_replay(const Args& args, std::ostream& out, std::ostream& err,
   }
   if (args.positional().size() < 2) {
     err << "error: replay requires <spec.xml> <trace-file>\n";
-    return kInvalidInput;
+    return core::kExitInvalidInput;
   }
   core::Project& p = project.value();
   if (auto status = p.build(); !status.ok()) {
@@ -807,13 +753,13 @@ int cmd_replay(const Args& args, std::ostream& out, std::ostream& err,
   auto final_state = scheduler.replay(trace.value());
   if (!final_state.ok()) {
     err << "replay FAILED: " << final_state.error() << "\n";
-    return exit_code_for(final_state.error());
+    return core::exit_code_for(final_state.error());
   }
   const bool reaches_goal =
       tpn::is_final_marking(p.model().net, final_state.value().marking());
   out << "replayed " << trace.value().size() << " firings; final marking "
       << (reaches_goal ? "reaches" : "DOES NOT reach") << " M_F\n";
-  return reaches_goal ? kOk : kFailure;
+  return reaches_goal ? core::kExitOk : core::kExitFailure;
 }
 
 int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
@@ -862,7 +808,7 @@ int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
         << (result.final_reachable ? "yes" : "no") << "\n"
         << "  miss reachable:    "
         << (result.miss_reachable ? "yes" : "no") << "\n";
-    return kOk;
+    return core::kExitOk;
   }
   const sched::ReachabilityResult result = [&] {
     obs::Span span(tracer_ptr, "reachability", "pipeline");
@@ -904,14 +850,14 @@ int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
   switch (result.stop) {
     case sched::ReachabilityStop::kTimeLimit:
     case sched::ReachabilityStop::kMemoryLimit:
-      return kLimitExit;
+      return core::kExitLimit;
     case sched::ReachabilityStop::kCancelled:
-      return kCancelledExit;
+      return core::kExitCancelled;
     case sched::ReachabilityStop::kComplete:
     case sched::ReachabilityStop::kStateBudget:
       break;
   }
-  return kOk;
+  return core::kExitOk;
 }
 
 int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
@@ -942,7 +888,7 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
       } catch (const std::exception&) {
         err << "error: --intensities expects positive numbers, got '"
             << entry << "'\n";
-        return kInvalidInput;
+        return core::kExitInvalidInput;
       }
       if (comma == list->size()) {
         break;
@@ -950,12 +896,12 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
     }
     if (campaign.intensities.empty()) {
       err << "error: --intensities is empty\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
   }
   if (!read_uint(args, "trials", campaign.trials, err, 1) ||
       !read_uint(args, "seed", campaign.seed, err)) {
-    return kInvalidInput;
+    return core::kExitInvalidInput;
   }
   if (auto list = args.value("policies")) {
     campaign.policies.clear();
@@ -975,7 +921,7 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
     }
     if (campaign.policies.empty()) {
       err << "error: --policies is empty\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
   }
 
@@ -1032,7 +978,7 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
     }
     out << "trace written to " << *trace_out_path << "\n";
   }
-  return report.cancelled ? kCancelledExit : kOk;
+  return report.cancelled ? core::kExitCancelled : core::kExitOk;
 }
 
 int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
@@ -1046,14 +992,14 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
       !read_uint(args, "degrade-queue", options.degrade_queue, err) ||
       !read_uint(args, "degrade-max-states", options.degrade_max_states, err,
                  1)) {
-    return kInvalidInput;
+    return core::kExitInvalidInput;
   }
   if (auto bytes = args.value("max-request-bytes")) {
     auto parsed = core::parse_bytes(*bytes);
     if (!parsed.ok() || parsed.value() == 0 ||
         parsed.value() > serve::kMaxFrameBytes) {
       err << "error: --max-request-bytes expects 1.." "64m\n";
-      return kInvalidInput;
+      return core::kExitInvalidInput;
     }
     options.max_request_bytes = static_cast<std::uint32_t>(parsed.value());
   }
@@ -1082,7 +1028,7 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
       << stats.cache.hits << " hits (" << stats.cache.alias_hits
       << " by alias) / " << stats.cache.misses
       << " misses / " << stats.cache.coalesced << " coalesced\n";
-  return kCancelledExit;
+  return core::kExitCancelled;
 }
 
 /// One `ezrt` command and the flags it declares. A command that loads a
@@ -1218,7 +1164,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err, const base::CancelToken* cancel) {
   if (args.empty() || args[0] == "help" || args[0] == "--help") {
     out << usage();
-    return args.empty() ? kInvalidInput : kOk;
+    return args.empty() ? core::kExitInvalidInput : core::kExitOk;
   }
   for (const Command& command : kCommands) {
     if (command.name == args[0]) {
@@ -1230,7 +1176,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     }
   }
   err << "error: unknown command '" << args[0] << "'\n" << usage();
-  return kInvalidInput;
+  return core::kExitInvalidInput;
 }
 
 }  // namespace ezrt::cli

@@ -21,11 +21,14 @@ namespace ezrt::core {
 // Documented exit codes (docs/robustness.md, `ezrt help`). Scripts and CI
 // branch on these, so the mapping is part of the tool's contract:
 //   0   success (feasible schedule, valid spec, clean simulation)
-//   1   runtime failure (I/O, unsupported feature, internal error)
+//   1   runtime failure (I/O, unsupported feature, internal error; in
+//       the CLI also a simulation that missed a deadline or a replay
+//       that diverged)
 //   2   infeasible — a definitive domain answer, not an error
 //   3   a configured budget tripped (state, wall-clock or memory limit);
 //       the serve envelope also uses it for shed (`overloaded`) requests
-//   4   invalid input (malformed document, inconsistent spec, bad frame)
+//   4   invalid input (malformed document, inconsistent spec, bad flags,
+//       bad frame)
 //   130 cancelled (128 + SIGINT; SIGTERM exits the 130-family code 143)
 inline constexpr int kExitOk = 0;
 inline constexpr int kExitFailure = 1;

@@ -4,7 +4,6 @@
 
 #include "obs/explain.hpp"
 #include "obs/json.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
 #include "sched/reachability.hpp"
@@ -318,16 +317,8 @@ std::string run_report_json(Project& project, const obs::Tracer* tracer,
     write_stages(w, *tracer);
   }
 
-  w.key("counters");
-  if (deterministic) {
-    // The process-wide registry accumulates across everything that ran in
-    // the process (including explain's probe re-runs); freeze it empty so
-    // the report stays byte-identical across reruns and builds.
-    w.begin_object();
-    w.end_object();
-  } else {
-    obs::Registry::global().write_json(w);
-  }
+  // Always empty: kept so every schema-v5 report keeps its bytes.
+  w.key("counters").begin_object().end_object();
   w.end_object();
   return w.take();
 }

@@ -3,10 +3,10 @@
 // One JSON document per pipeline run: model summary, scheduler options,
 // verdict, search-effort statistics, the optional per-worker/per-shard
 // telemetry breakdown, schedule metrics for feasible models, pipeline
-// stage timings and the process-wide counter registry. The shape is
-// pinned by docs/schemas/report.schema.json and validated in CI, so
-// downstream tooling (tools/bench_compare.py --report, dashboards) can
-// rely on it.
+// stage timings and an always-empty `counters` object (kept so every
+// schema-v5 report keeps its bytes). The shape is pinned by
+// docs/schemas/report.schema.json and validated in CI, so downstream
+// tooling (tools/bench_compare.py --report, dashboards) can rely on it.
 #pragma once
 
 #include <string>
@@ -32,10 +32,10 @@ struct RunReportExtras {
   /// Reachability verdicts (`ezrt reach --report`): "reachability".
   const sched::ReachabilityResult* reachability = nullptr;
   /// Byte-deterministic emission: zero the wall-clock fields
-  /// (elapsed_ms, parallel_verdict_ms), omit the stage spans and the
-  /// telemetry breakdown, and emit an empty counter registry — so two
-  /// runs of the same spec under the same options produce identical
-  /// bytes (the `ezrt explain --report` contract, docs/explain.md §4).
+  /// (elapsed_ms, parallel_verdict_ms) and omit the stage spans and the
+  /// telemetry breakdown — so two runs of the same spec under the same
+  /// options produce identical bytes (the `ezrt explain --report`
+  /// contract, docs/explain.md §4).
   bool deterministic = false;
 };
 

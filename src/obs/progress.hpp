@@ -5,7 +5,8 @@
 // relaxed atomics (masked to once every kPublishMask+1 admitted states, so
 // the hot loop pays one predicted branch); the reporter thread *reads* them
 // on its own monotonic tick and never feeds anything back. Under
-// EZRT_NO_TELEMETRY publishing compiles out entirely.
+// EZRT_NO_TELEMETRY publishing compiles out entirely: it is the only
+// recording that flag removes.
 #pragma once
 
 #include <atomic>
@@ -16,9 +17,13 @@
 #include <ostream>
 #include <thread>
 
-#include "obs/telemetry.hpp"
-
 namespace ezrt::obs {
+
+#if defined(EZRT_NO_TELEMETRY)
+inline constexpr bool kTelemetryEnabled = false;
+#else
+inline constexpr bool kTelemetryEnabled = true;
+#endif
 
 /// Shared atomics describing a search in flight. All stores are relaxed:
 /// readers get a recent, not necessarily mutually consistent, picture —

@@ -2,10 +2,9 @@
 // counters the engines record at deadline and doom-certificate prune
 // points, feeding the `ezrt explain` verdict-provenance report.
 //
-// These are plain per-instance integers in the Expander::Counters idiom —
-// deliberately NOT obs::Registry atomics — so explain reports stay
-// byte-identical between telemetry-on and EZRT_NO_TELEMETRY builds, and
-// the parallel engine can keep one recorder per worker and merge them
+// These are plain per-instance integers in the Expander::Counters idiom,
+// recorded in every build, so explain reports stay byte-identical between
+// telemetry-on and EZRT_NO_TELEMETRY builds, and the parallel engine can keep one recorder per worker and merge them
 // after the join exactly like SearchStats. Disabled recorders cost one
 // predicted branch per prune.
 #pragma once

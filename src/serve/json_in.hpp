@@ -45,7 +45,6 @@ struct JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object;
 
   [[nodiscard]] bool is_object() const { return kind == Kind::kObject; }
-  [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
   [[nodiscard]] bool is_string() const { return kind == Kind::kString; }
 
   /// Object member lookup (first match); nullptr when absent or not an

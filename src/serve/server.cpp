@@ -14,7 +14,6 @@
 #include "core/response.hpp"
 #include "core/run_report.hpp"
 #include "obs/json.hpp"
-#include "obs/serve_metrics.hpp"
 #include "serve/json_in.hpp"
 
 namespace ezrt::serve {
@@ -289,7 +288,6 @@ void Server::connection_loop(Conn* conn) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.invalid;
       }
-      obs::ServeMetrics::global().invalid.add();
       break;
     }
     if (!frame.value().has_value()) {
@@ -317,7 +315,6 @@ std::string Server::handle_payload(const std::string& payload) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.requests;
   }
-  obs::ServeMetrics::global().requests.add();
   auto invalid = [this](const std::string& id, const std::string& what) {
     core::ServeResponseInfo info;
     info.id = id;
@@ -328,7 +325,6 @@ std::string Server::handle_payload(const std::string& payload) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.invalid;
     }
-    obs::ServeMetrics::global().invalid.add();
     return core::serve_response_json(info);
   };
   auto document = parse_json(payload);
@@ -388,11 +384,6 @@ std::string Server::handle_schedule(ServeRequest request,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.ok;
     }
-    if (hit) {
-      obs::ServeMetrics::global().cache_hits.add();
-    } else {
-      obs::ServeMetrics::global().coalesced.add();
-    }
     return core::serve_response_json(info, &ticket.report_json);
   };
 
@@ -415,7 +406,6 @@ std::string Server::handle_schedule(ServeRequest request,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.invalid;
     }
-    obs::ServeMetrics::global().invalid.add();
     return core::serve_response_json(info);
   }
   const Digest digest = prepared.value().digest;
@@ -432,7 +422,6 @@ std::string Server::handle_schedule(ServeRequest request,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.sheds;
     }
-    obs::ServeMetrics::global().sheds.add();
     return core::serve_response_json(info);
   };
 
@@ -508,8 +497,6 @@ std::string Server::handle_schedule(ServeRequest request,
         stats_.peak_queue_depth =
             std::max<std::uint64_t>(stats_.peak_queue_depth, queue_.size());
       }
-      obs::ServeMetrics::global().queue_depth.set(
-          static_cast<std::int64_t>(queue_.size()));
     }
     queue_cv_.notify_one();
 
@@ -538,7 +525,6 @@ std::string Server::handle_schedule(ServeRequest request,
         ++stats_.errors;
       }
     }
-    obs::ServeMetrics::global().cache_misses.add();
     return core::serve_response_json(
         info, outcome.report_json.empty() ? nullptr : &outcome.report_json);
   }
@@ -567,14 +553,11 @@ void Server::worker_loop() {
       job = *it;
       queue_.erase(it);
       depth_at_dequeue = queue_.size();
-      obs::ServeMetrics::global().queue_depth.set(
-          static_cast<std::int64_t>(queue_.size()));
     }
 
     const Clock::time_point picked_up = Clock::now();
     Job::Outcome outcome;
     outcome.queue_ms = ms_between(job->admitted, picked_up);
-    obs::ServeMetrics::global().queue_ms.record(outcome.queue_ms);
 
     if (picked_up >= job->deadline) {
       // Too late even to start: the admission estimate was optimistic.
@@ -607,7 +590,6 @@ void Server::worker_loop() {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.degrades;
       }
-      obs::ServeMetrics::global().degrades.add();
     }
     // Queue time already consumed part of the budget: the engines honor
     // the job's absolute deadline (SchedulerOptions::deadline), so a
@@ -632,7 +614,6 @@ void Server::worker_loop() {
       outcome.report_json = core::run_report_json(project, nullptr, &extras);
     }
     outcome.service_ms = ms_between(picked_up, Clock::now());
-    obs::ServeMetrics::global().service_ms.record(outcome.service_ms);
 
     // Only definitive, non-degraded verdicts enter the cache: a degraded
     // or budget-tripped answer must never be replayed to a client that

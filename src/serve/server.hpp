@@ -70,8 +70,9 @@ struct ServerOptions {
   std::uint32_t max_request_bytes = kMaxFrameBytes;
 };
 
-/// Aggregate server counters (plain integers — correctness-relevant,
-/// present under EZRT_NO_TELEMETRY; obs::ServeMetrics is the mirror).
+/// Aggregate server counters: the one record of serve events (plain
+/// integers under stats_mutex_, present in every build). The `stats` op,
+/// the drain line and the tests all read them.
 struct ServerStats {
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;

@@ -101,9 +101,9 @@ struct WorkloadConfig {
 /// checked in as examples/specs/uav_dual_processor.ezspec): a sensor CPU
 /// feeds a control CPU over a CAN bus, with an exclusion pair and a
 /// preemptive trajectory task on the control side. The multi-processor
-/// end-to-end case (docs/multiprocessor.md). Requires the complete search
-/// mode (PruningMode::kNone): the FT_P priority filter prunes away every
-/// feasible interleaving of this set.
+/// end-to-end case (docs/multiprocessor.md). Feasible under the default
+/// search (FT_P on: 65 states, 64 firings) and in the complete search mode
+/// (PruningMode::kNone); a sync budget of 1 makes it infeasible in both.
 [[nodiscard]] spec::Specification uav_autopilot_specification();
 
 /// Request mix for serve load generation (tools/loadgen, the BM_Serve_*

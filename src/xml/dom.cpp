@@ -80,15 +80,6 @@ std::vector<const Element*> Element::find_children(
   return out;
 }
 
-Result<const Element*> Element::require_child(std::string_view name) const {
-  if (const Element* c = find_child(name)) {
-    return c;
-  }
-  return make_error(ErrorCode::kParseError,
-                    "<" + name_ + "> is missing required child <" +
-                        std::string(name) + ">");
-}
-
 std::optional<std::string_view> Element::label_text(
     std::string_view name) const {
   const Element* child = find_child(name);

@@ -83,10 +83,6 @@ class Element {
   [[nodiscard]] std::vector<const Element*> find_children(
       std::string_view name) const;
 
-  /// Child that must exist; error otherwise.
-  [[nodiscard]] Result<const Element*> require_child(
-      std::string_view name) const;
-
   /// Trimmed text of child `name`'s `<text>` grandchild (the PNML label
   /// convention `<name><text>...</text></name>`), or of the child itself
   /// when it has no `<text>` wrapper. The view is into that element's text.

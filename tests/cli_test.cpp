@@ -8,7 +8,7 @@
 
 #include "base/cancel.hpp"
 #include "cli/cli.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/progress.hpp"
 #include "pnml/ezspec_io.hpp"
 #include "workload/generator.hpp"
 

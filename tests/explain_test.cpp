@@ -28,7 +28,7 @@ namespace fs = std::filesystem;
 }
 
 /// The "explanation" object plus everything after it (the deterministic
-/// tail: the empty counter registry). The preceding "options" section
+/// tail: the always-empty `counters` object). The preceding "options" section
 /// faithfully echoes the requested engine/threads, so whole-file equality
 /// across configurations is not expected — explanation equality is.
 [[nodiscard]] std::string explanation_section(const std::string& report) {

@@ -24,8 +24,9 @@
 namespace ezrt {
 namespace {
 
-/// The UAV set needs the complete search mode: the FT_P priority filter
-/// prunes every feasible interleaving (workload/generator.hpp).
+/// The complete search mode (no FT_P), which most UAV tests below use.
+/// The default search schedules the set too (see
+/// UavDefaultSearchCountsAndSyncFlip).
 [[nodiscard]] sched::SchedulerOptions complete_options() {
   sched::SchedulerOptions options;
   options.pruning = sched::PruningMode::kNone;
@@ -165,6 +166,38 @@ TEST(MultiProc, UavSyncBudgetGovernsFeasibility) {
   // over-synchronized: the exhaustive search proves infeasibility.
   UavFixture starved = schedule_uav(1);
   EXPECT_EQ(starved.outcome.status, sched::SearchStatus::kInfeasible);
+}
+
+TEST(MultiProc, UavDefaultSearchCountsAndSyncFlip) {
+  // The pipeline's default search (dfs, FT_P, POR, concrete keys) finds
+  // the UAV schedule in one dive; the CI search-perf gate pins the same
+  // counts from the checked-in spec.
+  spec::Specification s = workload::uav_autopilot_specification();
+  auto model = builder::build_tpn(s);
+  ASSERT_TRUE(model.ok()) << model.error();
+  const sched::SearchOutcome feasible =
+      sched::DfsScheduler(model.value().net, sched::SchedulerOptions{})
+          .search();
+  ASSERT_EQ(feasible.status, sched::SearchStatus::kFeasible);
+  EXPECT_EQ(feasible.trace.size(), 64u);
+  EXPECT_EQ(feasible.stats.transitions_fired, 64u);
+  EXPECT_EQ(feasible.stats.states_visited, 65u);
+  EXPECT_EQ(feasible.stats.pruned_priority, 23u);
+  EXPECT_EQ(feasible.stats.backtracks, 0u);
+  auto table = sched::extract_schedule(s, model.value(), feasible.trace);
+  ASSERT_TRUE(table.ok()) << table.error();
+  EXPECT_EQ(table.value().sync_high_water, 2u);
+
+  // K = 1 flips the verdict without the complete search mode.
+  s.set_sync_budget(1);
+  auto starved_model = builder::build_tpn(s);
+  ASSERT_TRUE(starved_model.ok()) << starved_model.error();
+  const sched::SearchOutcome starved =
+      sched::DfsScheduler(starved_model.value().net,
+                          sched::SchedulerOptions{})
+          .search();
+  EXPECT_EQ(starved.status, sched::SearchStatus::kInfeasible);
+  EXPECT_EQ(starved.stats.states_visited, 116u);
 }
 
 // -- Engine / thread verdict parity ------------------------------------------

@@ -1,9 +1,9 @@
 // Tests for the observability layer (docs/observability.md): the JSON
-// writer, the counter/gauge/histogram registry, the Chrome trace_event
-// tracer, the progress heartbeat, the machine-readable run report — and,
-// most importantly, the differential guarantee that telemetry is
-// write-only: a serial search with every sink enabled returns the same
-// verdict, trace and statistics, bit for bit, as one with none.
+// writer, the Chrome trace_event tracer, the progress heartbeat, the
+// machine-readable run report — and, most importantly, the differential
+// guarantee that telemetry is write-only: a serial search with every sink
+// enabled returns the same verdict, trace and statistics, bit for bit, as
+// one with none.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,7 +17,6 @@
 #include "core/run_report.hpp"
 #include "obs/json.hpp"
 #include "obs/progress.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/dispatcher_sim.hpp"
 #include "sched/dfs.hpp"
@@ -67,52 +66,6 @@ TEST(JsonWriter, EveryOutputParses) {
   obs::JsonWriter w;
   w.begin_object().key("spliced").raw(inner.str()).end_object();
   EXPECT_EQ(w.str(), "{\"spliced\":{\"k\":-3}}");
-}
-
-// ----------------------------------------------------------- telemetry --
-
-TEST(Telemetry, CounterGaugeHistogram) {
-  obs::Counter c;
-  c.add();
-  c.add(4);
-  obs::Gauge g;
-  g.set(7);
-  g.add(-2);
-  obs::Histogram h;
-  h.record(0);
-  h.record(1);
-  h.record(9);
-  const obs::Histogram::Snapshot snap = h.snapshot();
-  if constexpr (obs::kTelemetryEnabled) {
-    EXPECT_EQ(c.value(), 5u);
-    EXPECT_EQ(g.value(), 5);
-    EXPECT_EQ(snap.count, 3u);
-    EXPECT_EQ(snap.sum, 10u);
-    EXPECT_EQ(snap.max, 9u);
-    EXPECT_EQ(snap.buckets[0], 1u);  // 0
-    EXPECT_EQ(snap.buckets[1], 1u);  // 1
-    EXPECT_EQ(snap.buckets[4], 1u);  // 9 in [8,16)
-    EXPECT_DOUBLE_EQ(snap.mean(), 10.0 / 3.0);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(snap.count, 0u);
-  }
-}
-
-TEST(Telemetry, RegistryReferencesAreStable) {
-  obs::Registry registry;
-  obs::Counter& a = registry.counter("states");
-  obs::Counter& b = registry.counter("states");
-  EXPECT_EQ(&a, &b);
-  registry.gauge("depth").set(3);
-  registry.histogram("probe").record(2);
-  obs::JsonWriter w;
-  registry.write_json(w);
-  const std::string json = w.str();
-  EXPECT_NE(json.find("\"states\""), std::string::npos);
-  EXPECT_NE(json.find("\"depth\""), std::string::npos);
-  EXPECT_NE(json.find("\"probe\""), std::string::npos);
 }
 
 // -------------------------------------------------------------- tracer --

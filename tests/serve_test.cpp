@@ -650,6 +650,126 @@ TEST_F(ServeTest, PingStatsAndInvalidPayloads) {
   server.wait();
 }
 
+/// A `stats` op object as (name, value) pairs in emission order, the cache
+/// members named "cache.<member>".
+using Members = std::vector<std::pair<std::string, std::uint64_t>>;
+Members flatten_stats(const JsonValue& object, const std::string& prefix = "") {
+  Members out;
+  for (const auto& [key, member] : object.object) {
+    if (member.is_object()) {
+      const Members inner = flatten_stats(member, prefix + key + ".");
+      out.insert(out.end(), inner.begin(), inner.end());
+    } else {
+      EXPECT_TRUE(member.is_uint) << prefix << key;
+      out.emplace_back(prefix + key, member.uint_value);
+    }
+  }
+  return out;
+}
+
+TEST_F(ServeTest, StatsCountEveryOutcomeOnce) {
+  ServerOptions options;
+  options.endpoint = endpoint("tally");
+  options.workers = 1;
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+  const std::string& at = server.endpoint();
+
+  EXPECT_EQ(roundtrip(at, R"({"op":"ping"})").find("status")->string, "ok");
+  // The op reads the counters before counting itself as ok.
+  const JsonValue early = roundtrip(at, R"({"op":"stats"})");
+  ASSERT_NE(early.find("stats"), nullptr);
+  EXPECT_EQ(flatten_stats(*early.find("stats")),
+            (Members{{"connections", 2}, {"requests", 2}, {"ok", 1},
+                     {"sheds", 0}, {"degrades", 0}, {"invalid", 0},
+                     {"errors", 0}, {"queue_depth", 0},
+                     {"peak_queue_depth", 0}, {"workers", 1},
+                     {"cache.hits", 0}, {"cache.alias_hits", 0},
+                     {"cache.misses", 0}, {"cache.coalesced", 0},
+                     {"cache.evictions", 0}, {"cache.abandoned", 0},
+                     {"cache.entries", 0}, {"cache.aliases", 0}}));
+
+  // A miss (which also primes the EWMA), an alias hit on the same bytes
+  // and a canonical hit on a reformatted copy.
+  std::string reformatted = mine_pump_;
+  reformatted.insert(reformatted.find('\n'), "   ");
+  EXPECT_EQ(roundtrip(at, schedule_request(mine_pump_, "m")).find("cache")
+                ->string,
+            "miss");
+  EXPECT_EQ(roundtrip(at, schedule_request(mine_pump_, "a")).find("cache")
+                ->string,
+            "hit");
+  EXPECT_EQ(roundtrip(at, schedule_request(reformatted, "r")).find("cache")
+                ->string,
+            "hit");
+  EXPECT_EQ(roundtrip(at, "this is not json").find("status")->string,
+            "invalid");
+  EXPECT_EQ(roundtrip(at, schedule_request("<system name='x'/>", "s"))
+                .find("status")
+                ->string,
+            "invalid");
+  // Shed at admission as in ExpiredBudgetIsShedBeforeAnyWork: the owner
+  // ticket is taken, then abandoned.
+  EXPECT_EQ(roundtrip(at, schedule_request(uav_, "t", /*budget_ms=*/1))
+                .find("status")
+                ->string,
+            "overloaded");
+
+  const JsonValue late = roundtrip(at, R"({"op":"stats"})");
+  ASSERT_NE(late.find("stats"), nullptr);
+  EXPECT_EQ(flatten_stats(*late.find("stats")),
+            (Members{{"connections", 9}, {"requests", 9}, {"ok", 5},
+                     {"sheds", 1}, {"degrades", 0}, {"invalid", 2},
+                     {"errors", 0}, {"queue_depth", 0},
+                     {"peak_queue_depth", 1}, {"workers", 1},
+                     {"cache.hits", 2}, {"cache.alias_hits", 1},
+                     {"cache.misses", 2}, {"cache.coalesced", 0},
+                     {"cache.evictions", 0}, {"cache.abandoned", 1},
+                     {"cache.entries", 1}, {"cache.aliases", 2}}));
+
+  server.shutdown();
+  server.wait();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.connections, 9u);
+  EXPECT_EQ(stats.requests, 9u);
+  EXPECT_EQ(stats.ok, 6u);
+  EXPECT_EQ(stats.sheds, 1u);
+  EXPECT_EQ(stats.degrades, 0u);
+  EXPECT_EQ(stats.invalid, 2u);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.peak_queue_depth, 1u);
+  EXPECT_EQ(stats.cache.hits, 2u);
+  EXPECT_EQ(stats.cache.alias_hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.cache.coalesced, 0u);
+  EXPECT_EQ(stats.cache.evictions, 0u);
+  EXPECT_EQ(stats.cache.abandoned, 1u);
+  EXPECT_EQ(stats.cache.entries, 1u);
+  EXPECT_EQ(stats.cache.aliases, 2u);
+}
+
+TEST_F(ServeTest, RunReportCountersStayEmptyAfterServing) {
+  ServerOptions options;
+  options.endpoint = endpoint("counters");
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+  EXPECT_EQ(roundtrip(server.endpoint(), schedule_request(mine_pump_, "m"))
+                .find("status")
+                ->string,
+            "ok");
+  server.shutdown();
+  server.wait();
+
+  // A non-deterministic report of an unrelated run in the same process
+  // carries no trace of the serving.
+  core::Project project(workload::uav_autopilot_specification());
+  ASSERT_TRUE(project.schedule().ok());
+  const std::string report = core::run_report_json(project, nullptr);
+  EXPECT_NE(report.find("\"counters\":{}"), std::string::npos)
+      << report.substr(report.find("\"counters\""));
+}
+
 TEST_F(ServeTest, OutOfRangeOptionIsInvalidAndTheServerKeepsServing) {
   ServerOptions options;
   options.endpoint = endpoint("range");
